@@ -12,12 +12,17 @@
 //!    budget (2k in quick mode) through the streaming engine with
 //!    online-MTD early stop, reporting each arm's true — or still
 //!    budget-censored — measurements-to-disclosure.
+//! 3. **Engine parity** — the same campaign through the streaming
+//!    engine (default window and commit cadence, ledger on disk) and
+//!    the in-memory sharded runner at equal workers, reporting both
+//!    throughputs and their ratio.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 use slm_core::experiments::{
-    run_streaming, run_streaming_crashing, run_streaming_with_recorded, CpaExperiment, CrashPlan,
-    CrashSite, DefenseArm, EarlyStop, SensorSource, StreamOutcome, StreamingCpa,
+    run_cpa_parallel, run_streaming, run_streaming_crashing, run_streaming_with_recorded,
+    CpaExperiment, CrashPlan, CrashSite, DefenseArm, EarlyStop, ParallelCpa, SensorSource,
+    StreamOutcome, StreamingCpa,
 };
 use slm_fabric::{BenignCircuit, DetectorConfig};
 use slm_obs::Obs;
@@ -60,13 +65,29 @@ struct MtdRow {
 }
 
 #[derive(Debug, Serialize)]
+struct EngineParity {
+    traces: u64,
+    workers: usize,
+    reps: usize,
+    streaming_traces_per_sec: f64,
+    /// The same streaming campaign with a single commit at the end:
+    /// the gap to `streaming_traces_per_sec` is the per-commit cost
+    /// (progress evaluation, checkpoint encoding, fsync).
+    streaming_one_commit_traces_per_sec: f64,
+    parallel_traces_per_sec: f64,
+    streaming_over_parallel: f64,
+}
+
+#[derive(Debug, Serialize)]
 struct StreamingBench {
     bench: String,
     quick: bool,
+    available_workers: usize,
     circuit: String,
     source: String,
     crash_smoke: CrashSmoke,
     rows: Vec<MtdRow>,
+    engine_parity: EngineParity,
 }
 
 fn base(traces: u64) -> CpaExperiment {
@@ -209,18 +230,74 @@ fn mtd_study() -> Vec<MtdRow> {
     rows
 }
 
+/// Streaming vs the in-memory sharded runner on one undefended
+/// campaign at machine parallelism: window = shard = budget / 16, the
+/// streaming default of one commit per window (and, for attribution,
+/// a single commit), alternating runs, the median of each throughput.
+fn engine_parity() -> EngineParity {
+    let traces: u64 = if quick() { 2_000 } else { 16_000 };
+    let reps = if quick() { 3 } else { 7 };
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let stream = |exp: &StreamingCpa, tag: &str| {
+        let dir = scratch_dir(tag);
+        let start = std::time::Instant::now();
+        let r = run_streaming(exp, &dir).expect("fabric builds");
+        let tps = traces as f64 / start.elapsed().as_secs_f64();
+        let _ = std::fs::remove_dir_all(&dir);
+        (r, tps)
+    };
+    let (mut streamed, mut one_commit, mut sharded) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..reps {
+        let exp = StreamingCpa::new(base(traces));
+        let (s, tps) = stream(&exp, "parity");
+        streamed.push(tps);
+        let plan_windows = exp.plan().shard_count() as u64;
+        one_commit.push(stream(&exp.with_commit_every(plan_windows), "parity-one").1);
+        let start = std::time::Instant::now();
+        let p = run_cpa_parallel(&ParallelCpa::new(base(traces))).expect("fabric builds");
+        sharded.push(traces as f64 / start.elapsed().as_secs_f64());
+        assert_eq!(
+            s.result.final_peaks, p.final_peaks,
+            "both engines fold the same shard lanes"
+        );
+    }
+    let (streaming, parallel) = (median(streamed), median(sharded));
+    let streaming_one_commit = median(one_commit);
+    println!(
+        "[streaming] engine parity at {} workers: streaming {streaming:.0} (one commit \
+         {streaming_one_commit:.0}) vs sharded {parallel:.0} traces/sec ({:.3}x)",
+        slm_par::available_workers(),
+        streaming / parallel
+    );
+    EngineParity {
+        traces,
+        workers: slm_par::available_workers(),
+        reps,
+        streaming_traces_per_sec: streaming,
+        streaming_one_commit_traces_per_sec: streaming_one_commit,
+        parallel_traces_per_sec: parallel,
+        streaming_over_parallel: streaming / parallel,
+    }
+}
+
 fn streaming_engine(c: &mut Criterion) {
     static ONCE: OnceLock<()> = OnceLock::new();
     ONCE.get_or_init(|| {
         let smoke = crash_smoke();
         let rows = mtd_study();
+        let engine_parity = engine_parity();
         let record = StreamingBench {
             bench: "streaming".to_string(),
             quick: quick(),
+            available_workers: slm_par::available_workers(),
             circuit: "DualC6288".to_string(),
             source: "TdcAll".to_string(),
             crash_smoke: smoke,
             rows,
+            engine_parity,
         };
         let json = serde_json::to_string_pretty(&record)
             .expect("bench record serialization is infallible");

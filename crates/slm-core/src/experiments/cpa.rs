@@ -143,7 +143,11 @@ pub(crate) fn pilot_setup(
         for s in &rec.benign {
             activity.add(s);
         }
-        pilot_samples.extend(rec.benign);
+        // Only the Hamming-weight polarity estimate reads the raw pilot
+        // samples; every other source would just hold them until return.
+        if exp.source == SensorSource::BenignHammingWeight {
+            pilot_samples.extend(rec.benign);
+        }
         tdc_depths.extend(&rec.tdc);
     }
     tdc_depths.sort_unstable();
@@ -267,7 +271,7 @@ pub(crate) fn geometry_setup(
 
 /// Post-processes one capture into the trace points of attack slot
 /// `slot` — the single shared definition of every sensor source's
-/// trace-point function, used by the scalar and batched absorb paths.
+/// trace-point function, used by the batched absorb path.
 fn fill_points(
     source: SensorSource,
     setup: &CampaignSetup,
@@ -301,24 +305,6 @@ fn fill_points(
     }
 }
 
-/// Post-processes one capture into trace points and feeds the per-slot
-/// attacks — the scalar campaign loop body, shared by the serial and
-/// sharded paths.
-pub(crate) fn absorb_record(
-    source: SensorSource,
-    setup: &CampaignSetup,
-    rec: &slm_fabric::CaptureRecord,
-    attacks: &mut [CpaAttack],
-    point_buf: &mut [f64],
-    obs: &Obs,
-) {
-    obs.incr("cpa.traces_absorbed");
-    for (slot, attack) in attacks.iter_mut().enumerate() {
-        fill_points(source, setup, rec, slot, point_buf);
-        attack.add_trace_recorded(&rec.ciphertext, point_buf, obs);
-    }
-}
-
 /// Post-processes a chunk of captures and absorbs it through the
 /// blocked SoA batch path: per slot, every record's points are staged
 /// into a [`TraceBatch`] and flushed with [`CpaAttack::add_batch`],
@@ -347,6 +333,28 @@ pub(crate) fn absorb_batch(
             .add_batch_recorded(batch, obs)
             .expect("staging geometry matches the attack");
         batch.clear();
+    }
+}
+
+/// Records a capture fabric's end-of-campaign PDN droop and defense
+/// telemetry into `obs` — the gauges every campaign loop reports for
+/// the fabric it captured on.
+pub(crate) fn record_fabric_telemetry(fabric: &MultiTenantFabric, obs: &Obs) {
+    if !obs.enabled() {
+        return;
+    }
+    let t = fabric.pdn_telemetry();
+    obs.gauge("pdn.v_min", t.v_min);
+    obs.gauge("pdn.v_max", t.v_max);
+    obs.gauge("pdn.settled_streak", t.settled_streak as f64);
+    if let Some(d) = fabric.defense_telemetry() {
+        obs.gauge("defense.injected_max_a", d.injected_max_a);
+        obs.gauge("defense.injected_mean_a", d.injected_mean_a());
+        obs.gauge("defense.detector_max_score", d.max_score);
+        obs.add("defense.windows", d.windows);
+        obs.add("defense.alarm_windows", d.alarm_windows);
+        obs.add("defense.alarm_events", d.alarm_events);
+        obs.add("defense.jitter_cycles", d.jitter_cycles);
     }
 }
 
@@ -488,21 +496,7 @@ pub(crate) fn run_cpa_inner(
             }
         }
     }
-    if obs.enabled() {
-        let t = fabric.pdn_telemetry();
-        obs.gauge("pdn.v_min", t.v_min);
-        obs.gauge("pdn.v_max", t.v_max);
-        obs.gauge("pdn.settled_streak", t.settled_streak as f64);
-        if let Some(d) = fabric.defense_telemetry() {
-            obs.gauge("defense.injected_max_a", d.injected_max_a);
-            obs.gauge("defense.injected_mean_a", d.injected_mean_a());
-            obs.gauge("defense.detector_max_score", d.max_score);
-            obs.add("defense.windows", d.windows);
-            obs.add("defense.alarm_windows", d.alarm_windows);
-            obs.add("defense.alarm_events", d.alarm_events);
-            obs.add("defense.jitter_cycles", d.jitter_cycles);
-        }
-    }
+    record_fabric_telemetry(&fabric, obs);
 
     Ok(assemble_result(
         exp,

@@ -19,14 +19,15 @@
 //! serial runner's pilot does, and every shard inherits its decisions.
 
 use super::cpa::{
-    absorb_batch, assemble_result, geometry_setup, pilot_independent, pilot_setup, CampaignSetup,
-    CpaExperiment, CpaResult, ABSORB_BATCH,
+    absorb_batch, assemble_result, geometry_setup, pilot_independent, pilot_setup,
+    record_fabric_telemetry, CampaignSetup, CpaExperiment, CpaResult, ABSORB_BATCH,
 };
 use serde::{Deserialize, Serialize};
 use slm_cpa::{leader_margin, CpaAttack, ProgressPoint, TraceBatch};
 use slm_fabric::{FabricConfig, FabricError, MultiTenantFabric, ShardPlan};
 use slm_obs::{MetricsFrame, Obs};
 use slm_par::ShardSpec;
+use std::ops::ControlFlow;
 
 /// A sharded, multi-threaded CPA campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -201,26 +202,66 @@ fn capture_shard(
         }
         fabric
     };
-    if shard_obs.enabled() {
-        let t = fabric.pdn_telemetry();
-        shard_obs.gauge("pdn.v_min", t.v_min);
-        shard_obs.gauge("pdn.v_max", t.v_max);
-        shard_obs.gauge("pdn.settled_streak", t.settled_streak as f64);
-        if let Some(d) = fabric.defense_telemetry() {
-            shard_obs.gauge("defense.injected_max_a", d.injected_max_a);
-            shard_obs.gauge("defense.injected_mean_a", d.injected_mean_a());
-            shard_obs.gauge("defense.detector_max_score", d.max_score);
-            shard_obs.add("defense.windows", d.windows);
-            shard_obs.add("defense.alarm_windows", d.alarm_windows);
-            shard_obs.add("defense.alarm_events", d.alarm_events);
-            shard_obs.add("defense.jitter_cycles", d.jitter_cycles);
-        }
-    }
+    record_fabric_telemetry(&fabric, &shard_obs);
     Ok(ShardPartial {
         snapshots,
         attacks,
         frame: shard_obs.snapshot(),
     })
+}
+
+/// A campaign's pilot phase, shared by the sharded and streaming
+/// engines: either run up front, or — for [`pilot_independent`]
+/// sources — scheduled as task 0 of the capture pipeline, so it no
+/// longer serializes in front of the captures.
+pub(crate) struct PilotTask<'a> {
+    pub exp: &'a CpaExperiment,
+    pub config: &'a FabricConfig,
+    pub obs: &'a Obs,
+    /// The span wrapping the pilot.
+    pub span: &'static str,
+}
+
+impl PilotTask<'_> {
+    /// The setup captures run with, and the pilot's full setup if the
+    /// pilot had to run up front (recording straight into `obs`).
+    /// `None` means the captures start from the config-derived geometry
+    /// and [`PilotTask::run`] is still owed. Both arms make identical
+    /// capture decisions, so the result is the same either way.
+    pub(crate) fn capture_setup(
+        &self,
+    ) -> Result<(CampaignSetup, Option<CampaignSetup>), FabricError> {
+        if pilot_independent(self.exp.source) {
+            return Ok((geometry_setup(self.exp, self.config)?, None));
+        }
+        let (_pilot_fabric, setup) = {
+            let _pilot_span = self.obs.span(self.span);
+            pilot_setup(self.exp, self.config)?
+        };
+        Ok((setup.clone(), Some(setup)))
+    }
+
+    /// Runs the pilot on a fresh fabric, recording into a fork of
+    /// `obs`; the caller absorbs the frame before any capture frame,
+    /// matching the up-front pilot's recording order.
+    pub(crate) fn run(&self) -> PilotOutcome {
+        let pilot_obs = self.obs.fork();
+        let setup = {
+            let _pilot_span = pilot_obs.span(self.span);
+            pilot_setup(self.exp, self.config)
+        };
+        setup.map(|(_fabric, setup)| (setup, pilot_obs.snapshot()))
+    }
+}
+
+/// The pilot's outcome: its full setup and its private metrics frame.
+pub(crate) type PilotOutcome = Result<(CampaignSetup, MetricsFrame), FabricError>;
+
+/// A unit of work on a capture pipeline: the overlapped pilot or one
+/// capture (shard or window).
+pub(crate) enum Task<C> {
+    Pilot(Box<PilotOutcome>),
+    Capture(C),
 }
 
 fn run_cpa_parallel_inner(
@@ -241,115 +282,87 @@ fn run_cpa_parallel_inner(
     let shards = plan.shards();
 
     // The pilot is shared: one run on the base config decides endpoint
-    // selection and post-processing for every shard. When the source
-    // doesn't depend on pilot statistics, the shards start from the
-    // config-derived geometry right away and the pilot runs
-    // concurrently as one more task on the pool — it no longer
-    // serializes in front of the shards. Both arms make identical
-    // capture decisions, so the result is the same either way.
-    let (setup, partials): (CampaignSetup, Vec<Result<ShardPartial, FabricError>>) =
-        if pilot_independent(base.source) {
-            enum Out {
-                Pilot(Box<CampaignSetup>, MetricsFrame),
-                Shard(ShardPartial),
-            }
-            let geometry = geometry_setup(base, &config)?;
-            let tasks: Vec<Option<&ShardSpec>> = std::iter::once(None)
-                .chain(shards.iter().map(Some))
-                .collect();
-            let outs: Vec<Result<Out, FabricError>> =
-                slm_par::par_map(exp.workers, &tasks, |task| match task {
-                    None => {
-                        let pilot_obs = obs.fork();
-                        let (_pilot_fabric, full) = {
-                            let _pilot_span = pilot_obs.span("cpa.pilot");
-                            pilot_setup(base, &config)?
-                        };
-                        Ok(Out::Pilot(Box::new(full), pilot_obs.snapshot()))
-                    }
-                    Some(spec) => capture_shard(
-                        base,
-                        &geometry,
-                        &config,
-                        spec,
-                        checkpoint_every,
-                        plan.total,
-                        obs,
-                    )
-                    .map(Out::Shard),
-                });
-            let mut outs = outs.into_iter();
-            let (full_setup, pilot_frame) = match outs.next().expect("task 0 is the pilot")? {
-                Out::Pilot(setup, frame) => (*setup, frame),
-                Out::Shard(_) => unreachable!("task 0 is the pilot"),
-            };
-            // Pilot metrics fold before shard metrics, matching the
-            // serial-pilot arm's recording order.
-            obs.absorb(&pilot_frame);
-            let partials = outs
-                .map(|o| {
-                    o.map(|o| match o {
-                        Out::Shard(p) => p,
-                        Out::Pilot(..) => unreachable!("only task 0 is the pilot"),
-                    })
-                })
-                .collect();
-            (full_setup, partials)
-        } else {
-            let (_pilot_fabric, setup) = {
-                let _pilot_span = obs.span("cpa.pilot");
-                pilot_setup(base, &config)?
-            };
-            let partials = slm_par::par_map(exp.workers, &shards, |spec| {
-                capture_shard(
-                    base,
-                    &setup,
-                    &config,
-                    spec,
-                    checkpoint_every,
-                    plan.total,
-                    obs,
-                )
-            });
-            (setup, partials)
-        };
+    // selection and post-processing for every shard.
+    let pilot = PilotTask {
+        exp: base,
+        config: &config,
+        obs,
+        span: "cpa.pilot",
+    };
+    let (setup, mut full_setup) = pilot.capture_setup()?;
+    let lead = usize::from(full_setup.is_none());
 
-    // Fold shards in index order. When shard i holds a checkpoint at
-    // global trace T, the campaign state at T is (all shards < i,
-    // fully absorbed) ⊕ (shard i's snapshot at T): a prefix-merge.
-    // Both operands depend only on the plan, so the progress curve is
-    // worker-count invariant.
+    // Fold shards in index order as they arrive. When shard i holds a
+    // checkpoint at global trace T, the campaign state at T is (all
+    // shards < i, fully absorbed) ⊕ (shard i's snapshot at T): a
+    // prefix-merge. Both operands depend only on the plan, so the
+    // progress curve is worker-count invariant.
     let mut merged: Vec<CpaAttack> = (0..setup.single_bit_slots)
         .map(|_| CpaAttack::new(setup.model, setup.points))
         .collect();
     let mut progress_per: Vec<Vec<ProgressPoint>> =
         vec![Vec::with_capacity(base.checkpoints); setup.single_bit_slots];
-    for partial in partials {
-        let partial = partial?;
-        obs.absorb(&partial.frame);
-        for (global, snapshot) in &partial.snapshots {
-            let _eval_span = obs.span("cpa.eval");
-            for (slot, snap) in snapshot.iter().enumerate() {
-                let mut at_checkpoint = merged[slot].clone();
-                at_checkpoint.merge(snap);
-                let peaks = at_checkpoint.peak_correlations_par(exp.workers).to_vec();
-                if slot == 0 {
-                    obs.observe("cpa.checkpoint_margin", leader_margin(&peaks));
+    let failed = slm_par::par_pipeline(
+        exp.workers,
+        lead + shards.len(),
+        usize::MAX,
+        |i| match i.checked_sub(lead) {
+            None => Task::Pilot(Box::new(pilot.run())),
+            Some(s) => Task::Capture(capture_shard(
+                base,
+                &setup,
+                &config,
+                &shards[s],
+                checkpoint_every,
+                plan.total,
+                obs,
+            )),
+        },
+        |_, task| {
+            let partial = match task {
+                Task::Pilot(outcome) => {
+                    return match *outcome {
+                        Ok((pilot_setup, frame)) => {
+                            obs.absorb(&frame);
+                            full_setup = Some(pilot_setup);
+                            ControlFlow::Continue(())
+                        }
+                        Err(e) => ControlFlow::Break(e),
+                    }
                 }
-                progress_per[slot].push(ProgressPoint {
-                    traces: *global,
-                    peak_corr: peaks,
-                });
+                Task::Capture(Err(e)) => return ControlFlow::Break(e),
+                Task::Capture(Ok(partial)) => partial,
+            };
+            obs.absorb(&partial.frame);
+            for (global, snapshot) in &partial.snapshots {
+                let _eval_span = obs.span("cpa.eval");
+                for (slot, snap) in snapshot.iter().enumerate() {
+                    let mut at_checkpoint = merged[slot].clone();
+                    at_checkpoint.merge(snap);
+                    // Serial: the workers are still capturing.
+                    let peaks = at_checkpoint.peak_correlations().to_vec();
+                    if slot == 0 {
+                        obs.observe("cpa.checkpoint_margin", leader_margin(&peaks));
+                    }
+                    progress_per[slot].push(ProgressPoint {
+                        traces: *global,
+                        peak_corr: peaks,
+                    });
+                }
             }
-        }
-        for (acc, part) in merged.iter_mut().zip(&partial.attacks) {
-            acc.merge_recorded(part, obs);
-        }
+            for (acc, part) in merged.iter_mut().zip(&partial.attacks) {
+                acc.merge_recorded(part, obs);
+            }
+            ControlFlow::Continue(())
+        },
+    );
+    if let Some(e) = failed {
+        return Err(e);
     }
 
     Ok(assemble_result(
         base,
-        &setup,
+        &full_setup.expect("the pilot ran"),
         &merged,
         progress_per,
         exp.workers,

@@ -13,6 +13,12 @@
 //! atomic generation ledger ([`CheckpointLedger`]: write-to-temp,
 //! checksum, rename).
 //!
+//! Capture runs ahead of the commit cursor: each round captures at
+//! least one window per worker, rounded up to whole commit groups, on
+//! the worker pool, then folds, evaluates and commits its groups
+//! strictly in window order. For sources that need no pilot statistics
+//! the pilot runs beside the first round instead of in front of it.
+//!
 //! # Exact-once window accounting
 //!
 //! A window is the unit of durability. Because window `i`'s capture
@@ -37,15 +43,20 @@
 //! resumed produces a [`CpaResult`] bit-identical to the uninterrupted
 //! run, at any worker count.
 
-use super::cpa::{absorb_record, assemble_result, pilot_setup, CpaExperiment, CpaResult};
+use super::cpa::{
+    absorb_batch, assemble_result, record_fabric_telemetry, CampaignSetup, CpaExperiment,
+    CpaResult, ABSORB_BATCH,
+};
+use super::parallel::{PilotTask, Task};
 use serde::{Deserialize, Serialize};
 use slm_cpa::store::{
     read_stream_checkpoint, write_stream_checkpoint, CheckpointLedger, StreamCheckpoint,
 };
-use slm_cpa::{leader_margin, CpaAttack, ProgressPoint};
+use slm_cpa::{leader_margin, CpaAttack, ProgressPoint, TraceBatch};
 use slm_fabric::{CaptureRecord, FabricConfig, FabricError, MultiTenantFabric};
 use slm_obs::{MetricsFrame, Obs};
-use slm_par::ShardPlan;
+use slm_par::{ShardPlan, ShardSpec};
+use std::ops::ControlFlow;
 use std::path::Path;
 
 /// A streaming, checkpointed CPA campaign.
@@ -61,6 +72,9 @@ pub struct StreamingCpa {
     /// Windows folded between ledger commits. Commit cadence is
     /// defined in windows — never derived from the worker count — so
     /// the progress curve and checkpoint stream are worker-invariant.
+    /// It does not bound parallel width: windows are captured ahead of
+    /// the commit cursor, at least `workers` per round in whole commit
+    /// groups, and folded and committed in order.
     pub commit_every_windows: u64,
     /// Worker threads capturing windows (0 = machine parallelism).
     pub workers: usize,
@@ -77,7 +91,9 @@ pub struct StreamingCpa {
 impl StreamingCpa {
     /// Wraps a campaign with a window of one sixteenth of the budget
     /// (clamped to 1..=4096 traces), commits at every window, machine
-    /// parallelism, and no early stop.
+    /// parallelism, and no early stop. Committing every window still
+    /// uses every worker: each capture round takes one window per
+    /// worker ahead of the commit cursor.
     pub fn new(base: CpaExperiment) -> Self {
         StreamingCpa {
             base,
@@ -417,6 +433,80 @@ struct WindowPartial {
     frame: MetricsFrame,
 }
 
+/// Captures one window on its own fabric, re-seeded from its lane, and
+/// folds it into fresh per-window accumulators. The raw records are
+/// buffered for the whole window (the retention `peak_raw_traces`
+/// reports) and absorbed in `ABSORB_BATCH` chunks through the batched
+/// path, bit-identical to per-record absorption; they are dropped
+/// before the partial is returned. Records into a private fork of
+/// `obs`, whose frame travels with the partial.
+fn capture_window(
+    base: &CpaExperiment,
+    setup: &CampaignSetup,
+    config: &FabricConfig,
+    spec: &ShardSpec,
+    obs: &Obs,
+) -> Result<WindowPartial, FabricError> {
+    let w_obs = obs.fork();
+    let w_config = config.for_shard(spec.index);
+    let mut attacks: Vec<CpaAttack> = (0..setup.single_bit_slots)
+        .map(|_| CpaAttack::new(setup.model, setup.points))
+        .collect();
+    let (fabric, retained) = {
+        let _span = w_obs.span("stream.window");
+        let mut fabric = {
+            let _build_span = w_obs.span("stream.build");
+            MultiTenantFabric::new(&w_config)?
+        };
+        let mut raw: Vec<CaptureRecord> = Vec::with_capacity(spec.traces as usize);
+        {
+            let _capture_span = w_obs.span("stream.capture");
+            for _ in 0..spec.traces {
+                let pt = fabric.random_plaintext();
+                raw.push(fabric.encrypt_windowed(pt, setup.window.clone(), &setup.endpoints));
+            }
+        }
+        {
+            let _absorb_span = w_obs.span("stream.absorb");
+            let mut point_buf = vec![0.0f64; setup.points];
+            let mut staging: Vec<TraceBatch> = (0..setup.single_bit_slots)
+                .map(|_| TraceBatch::with_capacity(setup.points, ABSORB_BATCH as usize))
+                .collect();
+            for chunk in raw.chunks(ABSORB_BATCH as usize) {
+                absorb_batch(
+                    base.source,
+                    setup,
+                    chunk,
+                    &mut attacks,
+                    &mut staging,
+                    &mut point_buf,
+                    &w_obs,
+                );
+            }
+        }
+        (fabric, raw.len() as u64)
+    };
+    record_fabric_telemetry(&fabric, &w_obs);
+    Ok(WindowPartial {
+        attacks,
+        retained,
+        frame: w_obs.snapshot(),
+    })
+}
+
+/// Capture rounds the window pipeline may run ahead of the commit
+/// cursor. A round is one window per worker rounded up to whole commit
+/// groups; more than one round lets workers keep capturing while a
+/// slow task (the overlapped pilot) holds the cursor back.
+const LOOKAHEAD_ROUNDS: u64 = 2;
+
+/// Why the window pipeline stopped before its last window.
+enum Halt {
+    EarlyStop,
+    /// A [`CrashPlan`] kill: always a [`StreamOutcome::Killed`].
+    Killed(StreamOutcome),
+}
+
 /// The full fault-injectable engine: runs (or resumes) the campaign,
 /// dying at the [`CrashPlan`]'s kill sites.
 ///
@@ -441,17 +531,22 @@ pub fn run_streaming_crashing(
     tweak(&mut config);
     // The pilot is not streamed: it is cheap, deterministic, and reruns
     // identically on every resume, so its decisions never need to be
-    // persisted.
-    let (_pilot_fabric, setup) = {
-        let _pilot_span = obs.span("stream.pilot");
-        pilot_setup(base, &config)?
+    // persisted. For sources that need no pilot statistics it runs as
+    // task 0 of the window pipeline (`full_setup` stays `None` until it
+    // has); otherwise it runs up front.
+    let pilot = PilotTask {
+        exp: base,
+        config: &config,
+        obs,
+        span: "stream.pilot",
     };
+    let (setup, mut full_setup) = pilot.capture_setup()?;
 
     let fingerprint = exp.fingerprint();
     let plan = exp.plan();
     let windows = plan.shards();
+    let total_windows = windows.len() as u64;
     let ledger = CheckpointLedger::open(dir.as_ref())?;
-
     // ---- resume ---------------------------------------------------------
     let mut merged: Vec<CpaAttack> = (0..setup.single_bit_slots)
         .map(|_| CpaAttack::new(setup.model, setup.points))
@@ -548,81 +643,49 @@ pub fn run_streaming_crashing(
     }
 
     // ---- windowed main phase -------------------------------------------
+    // Workers capture windows ahead of the commit cursor while this
+    // thread folds, evaluates and commits each commit group strictly in
+    // window order as soon as the group's windows are in. The look-ahead
+    // spans `LOOKAHEAD_ROUNDS` rounds of at least one window per worker,
+    // rounded up to whole commit groups. Windows captured ahead of a
+    // kill or an early stop are dropped unfolded, metrics frames
+    // included, so results and merged metrics stay worker-invariant.
+    let workers = slm_par::resolve_workers(exp.workers) as u64;
+    let round = workers.div_ceil(commit_every) * commit_every;
     let mut peak_raw = 0u64;
     let mut captured_this_run = 0u64;
     let mut early_stopped = exp
         .early_stop
         .is_some_and(|rule| rule.satisfied(&progress_per));
-    while windows_done < windows.len() as u64 && !early_stopped {
+    let pending = if early_stopped {
+        &windows[..0]
+    } else {
+        &windows[windows_done as usize..]
+    };
+    let lead = usize::from(full_setup.is_none() && !pending.is_empty());
+    let mut group: Vec<WindowPartial> = Vec::with_capacity(commit_every as usize);
+    // Folds one captured window; once its commit group is complete,
+    // folds, evaluates and commits the group. `Some` ends the run
+    // (kill or early stop).
+    let mut absorb_window = |partial: WindowPartial| -> Result<Option<Halt>, StreamingError> {
+        group.push(partial);
         let group_index = windows_done / commit_every;
-        let group_end = ((group_index + 1) * commit_every).min(windows.len() as u64);
-        let group = &windows[windows_done as usize..group_end as usize];
-        let committed_windows = windows_done;
-        let committed_traces = traces_done;
-
-        // Capture: each window on its own fabric, re-seeded from its
-        // lane, raw records buffered only for the window's lifetime.
-        let partials: Vec<Result<WindowPartial, FabricError>> =
-            slm_par::par_map(exp.workers, group, |spec| {
-                let w_obs = obs.fork();
-                let w_config = config.for_shard(spec.index);
-                let mut fabric = {
-                    let _span = w_obs.span("stream.window");
-                    MultiTenantFabric::new(&w_config)?
-                };
-                let mut raw: Vec<CaptureRecord> = Vec::with_capacity(spec.traces as usize);
-                for _ in 0..spec.traces {
-                    let pt = fabric.random_plaintext();
-                    raw.push(fabric.encrypt_windowed(pt, setup.window.clone(), &setup.endpoints));
-                }
-                let retained = raw.len() as u64;
-                let mut attacks: Vec<CpaAttack> = (0..setup.single_bit_slots)
-                    .map(|_| CpaAttack::new(setup.model, setup.points))
-                    .collect();
-                let mut point_buf = vec![0.0f64; setup.points];
-                for rec in raw.drain(..) {
-                    absorb_record(
-                        base.source,
-                        &setup,
-                        &rec,
-                        &mut attacks,
-                        &mut point_buf,
-                        &w_obs,
-                    );
-                }
-                if w_obs.enabled() {
-                    let t = fabric.pdn_telemetry();
-                    w_obs.gauge("pdn.v_min", t.v_min);
-                    w_obs.gauge("pdn.v_max", t.v_max);
-                    w_obs.gauge("pdn.settled_streak", t.settled_streak as f64);
-                    if let Some(d) = fabric.defense_telemetry() {
-                        w_obs.gauge("defense.injected_max_a", d.injected_max_a);
-                        w_obs.gauge("defense.injected_mean_a", d.injected_mean_a());
-                        w_obs.gauge("defense.detector_max_score", d.max_score);
-                        w_obs.add("defense.windows", d.windows);
-                        w_obs.add("defense.alarm_windows", d.alarm_windows);
-                        w_obs.add("defense.alarm_events", d.alarm_events);
-                        w_obs.add("defense.jitter_cycles", d.jitter_cycles);
-                    }
-                }
-                Ok(WindowPartial {
-                    attacks,
-                    retained,
-                    frame: w_obs.snapshot(),
-                })
-            });
+        let group_end = ((group_index + 1) * commit_every).min(total_windows);
+        if windows_done + (group.len() as u64) < group_end {
+            return Ok(None);
+        }
+        let committed = Halt::Killed(StreamOutcome::Killed {
+            windows_committed: windows_done,
+            traces_committed: traces_done,
+        });
         if crash.should_kill(group_index, CrashSite::AfterCapture) {
-            return Ok(StreamOutcome::Killed {
-                windows_committed: committed_windows,
-                traces_committed: committed_traces,
-            });
+            return Ok(Some(committed));
         }
 
         // Fold in window order — the same prefix-merge discipline as
         // the parallel runner, so results and merged metrics are
         // worker-count invariant.
-        for (partial, spec) in partials.into_iter().zip(group) {
-            let partial = partial?;
+        for (partial, spec) in group.drain(..).zip(&windows[windows_done as usize..]) {
             obs.absorb(&partial.frame);
             peak_raw = peak_raw.max(partial.retained);
             for (acc, part) in merged.iter_mut().zip(&partial.attacks) {
@@ -631,18 +694,16 @@ pub fn run_streaming_crashing(
             traces_done += spec.traces;
             captured_this_run += spec.traces;
         }
+        let group_windows = group_end - windows_done;
         windows_done = group_end;
         if crash.should_kill(group_index, CrashSite::AfterFold) {
-            return Ok(StreamOutcome::Killed {
-                windows_committed: committed_windows,
-                traces_committed: committed_traces,
-            });
+            return Ok(Some(committed));
         }
 
         // Checkpoint: progress point per slot, early-stop evaluation,
         // sealed commit to the generation ledger.
         for (slot, acc) in merged.iter().enumerate() {
-            let peaks = acc.peak_correlations_par(exp.workers).to_vec();
+            let peaks = acc.peak_correlations().to_vec();
             if slot == 0 {
                 obs.observe("stream.checkpoint_margin", leader_margin(&peaks));
             }
@@ -665,23 +726,66 @@ pub fn run_streaming_crashing(
         write_stream_checkpoint(&mut bytes, &cp)?;
         if crash.should_kill(group_index, CrashSite::TornCommit) {
             ledger.commit(&bytes[..bytes.len() / 2])?;
-            return Ok(StreamOutcome::Killed {
-                windows_committed: committed_windows,
-                traces_committed: committed_traces,
-            });
+            return Ok(Some(committed));
         }
         ledger.commit(&bytes)?;
-        obs.add("stream.windows_committed", group.len() as u64);
+        obs.add("stream.windows_committed", group_windows);
         obs.incr("stream.commits");
         obs.add("stream.bytes_journaled", bytes.len() as u64);
         if crash.should_kill(group_index, CrashSite::AfterCommit) {
-            return Ok(StreamOutcome::Killed {
+            return Ok(Some(Halt::Killed(StreamOutcome::Killed {
                 windows_committed: windows_done,
                 traces_committed: traces_done,
-            });
+            })));
         }
+        Ok(early_stopped.then_some(Halt::EarlyStop))
+    };
+    let halt = slm_par::par_pipeline(
+        exp.workers,
+        lead + pending.len(),
+        (LOOKAHEAD_ROUNDS * round) as usize + lead,
+        |i| match i.checked_sub(lead) {
+            None => Task::Pilot(Box::new(pilot.run())),
+            Some(w) => Task::Capture(capture_window(base, &setup, &config, &pending[w], obs)),
+        },
+        |_, task| {
+            let step = match task {
+                Task::Pilot(outcome) => {
+                    (*outcome)
+                        .map_err(StreamingError::from)
+                        .map(|(setup, frame)| {
+                            // The pilot's frame folds before any window
+                            // frame, matching the serial-pilot order.
+                            obs.absorb(&frame);
+                            full_setup = Some(setup);
+                            None
+                        })
+                }
+                Task::Capture(partial) => partial
+                    .map_err(StreamingError::from)
+                    .and_then(&mut absorb_window),
+            };
+            match step {
+                Ok(None) => ControlFlow::Continue(()),
+                Ok(Some(halt)) => ControlFlow::Break(Ok(halt)),
+                Err(e) => ControlFlow::Break(Err(e)),
+            }
+        },
+    );
+    if let Some(Halt::Killed(outcome)) = halt.transpose()? {
+        return Ok(outcome);
     }
 
+    // A resume with nothing left to capture still owes the result the
+    // pilot's decisions (`bits_of_interest`).
+    let full_setup = match full_setup {
+        Some(setup) => setup,
+        None => {
+            let (setup, frame) = pilot.run()?;
+            obs.absorb(&frame);
+            setup
+        }
+    };
     if early_stopped {
         obs.incr("stream.early_stop");
     }
@@ -695,7 +799,7 @@ pub fn run_streaming_crashing(
 
     let result = assemble_result(
         base,
-        &setup,
+        &full_setup,
         &merged,
         progress_per,
         exp.workers,

@@ -5,7 +5,9 @@
 //! The whole workspace is offline and dependency-free, so this crate
 //! provides the thin slice of `rayon` the campaign stack actually
 //! needs: order-preserving parallel map over an index space, built on
-//! `std::thread::scope` and an atomic work counter. Tasks are coarse
+//! `std::thread::scope` and an atomic work counter, and an ordered
+//! pipeline ([`par_pipeline`]) whose caller consumes results in index
+//! order while the workers run a bounded distance ahead. Tasks are coarse
 //! (a trace shard, a zoo design, a block of key candidates), so a
 //! mutex-guarded result store costs nothing measurable and keeps the
 //! crate `#![forbid(unsafe_code)]`.
@@ -31,9 +33,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 
 /// The machine's available parallelism (respecting cgroup/affinity
 /// limits), with a floor of one.
@@ -122,6 +126,140 @@ where
     F: Fn(&T) -> R + Sync,
 {
     par_map_indexed(workers, items.len(), |i| f(&items[i]))
+}
+
+/// Maps `0..n` through `f` on up to `workers` threads and hands every
+/// result to `sink` on the calling thread, in index order, as soon as it
+/// and all earlier results are ready — a pipeline whose workers run
+/// ahead while the caller consumes.
+///
+/// Workers claim indices in order but never more than `ahead` past the
+/// next index `sink` will take, which bounds the results waiting in
+/// memory. `sink` returning [`ControlFlow::Break`] stops the pipeline:
+/// no further index starts, finished-but-unsunk results are dropped,
+/// and the break value is returned once every worker has stopped.
+/// `None` means every index was sunk. With `workers <= 1`, `n <= 1` or
+/// `ahead <= 1` the pipeline runs inline on the calling thread.
+///
+/// # Panics
+///
+/// A panic in `f` is resumed on the calling thread with its original
+/// payload once all workers have stopped; a panic in `sink` stops the
+/// workers before it unwinds.
+pub fn par_pipeline<R, B, F, S>(
+    workers: usize,
+    n: usize,
+    ahead: usize,
+    f: F,
+    mut sink: S,
+) -> Option<B>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+    S: FnMut(usize, R) -> ControlFlow<B>,
+{
+    let workers = resolve_workers(workers).min(n.max(1));
+    if workers <= 1 || n <= 1 || ahead <= 1 {
+        return (0..n).find_map(|i| match sink(i, f(i)) {
+            ControlFlow::Break(b) => Some(b),
+            ControlFlow::Continue(()) => None,
+        });
+    }
+    struct State<R> {
+        next: usize,
+        consumed: usize,
+        stop: bool,
+        ready: BTreeMap<usize, R>,
+        panic: Option<Box<dyn std::any::Any + Send>>,
+    }
+    struct Shared<R> {
+        state: Mutex<State<R>>,
+        claimable: Condvar,
+        finished: Condvar,
+    }
+    /// Stops the workers when the caller leaves, by return or unwind.
+    struct StopOnDrop<'a, R>(&'a Shared<R>);
+    impl<R> Drop for StopOnDrop<'_, R> {
+        fn drop(&mut self) {
+            if let Ok(mut st) = self.0.state.lock() {
+                st.stop = true;
+            }
+            self.0.claimable.notify_all();
+        }
+    }
+    let shared = Shared {
+        state: Mutex::new(State {
+            next: 0,
+            consumed: 0,
+            stop: false,
+            ready: BTreeMap::new(),
+            panic: None,
+        }),
+        claimable: Condvar::new(),
+        finished: Condvar::new(),
+    };
+    let lock = || shared.state.lock().expect("pipeline state poisoned");
+    let broke = std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = {
+                    let mut st = lock();
+                    loop {
+                        if st.stop || st.panic.is_some() || st.next >= n {
+                            return;
+                        }
+                        if st.next < st.consumed.saturating_add(ahead) {
+                            break;
+                        }
+                        st = shared.claimable.wait(st).expect("pipeline state poisoned");
+                    }
+                    st.next += 1;
+                    st.next - 1
+                };
+                let out = catch_unwind(AssertUnwindSafe(|| f(i)));
+                let mut st = lock();
+                match out {
+                    Ok(r) => {
+                        st.ready.insert(i, r);
+                    }
+                    Err(payload) => {
+                        st.panic.get_or_insert(payload);
+                    }
+                }
+                shared.finished.notify_one();
+            });
+        }
+        let _stop = StopOnDrop(&shared);
+        for i in 0..n {
+            let r = {
+                let mut st = lock();
+                loop {
+                    if st.panic.is_some() {
+                        return None;
+                    }
+                    if let Some(r) = st.ready.remove(&i) {
+                        st.consumed = i + 1;
+                        break r;
+                    }
+                    st = shared.finished.wait(st).expect("pipeline state poisoned");
+                }
+            };
+            shared.claimable.notify_all();
+            if let ControlFlow::Break(b) = sink(i, r) {
+                return Some(b);
+            }
+        }
+        None
+    });
+    let panic = shared
+        .state
+        .into_inner()
+        .expect("pipeline state poisoned")
+        .panic;
+    if let Some(payload) = panic {
+        resume_unwind(payload);
+    }
+    broke
 }
 
 /// Derives an independent seed for a numbered lane of a campaign.
@@ -301,6 +439,122 @@ mod tests {
             .copied()
             .unwrap_or("wrong payload type");
         assert!(msg.contains("unlucky shard"), "payload was {msg:?}");
+    }
+
+    #[test]
+    fn pipeline_sinks_every_result_in_order() {
+        for workers in [0, 1, 2, 3, 8] {
+            for ahead in [0, 1, 2, 5, usize::MAX] {
+                let mut seen = Vec::new();
+                let broke: Option<()> = par_pipeline(
+                    workers,
+                    57,
+                    ahead,
+                    |i| i * 3,
+                    |i, r| {
+                        assert_eq!(r, i * 3);
+                        seen.push(i);
+                        ControlFlow::Continue(())
+                    },
+                );
+                assert_eq!(broke, None);
+                assert_eq!(seen, (0..57).collect::<Vec<_>>());
+            }
+        }
+        let none: Option<()> = par_pipeline(4, 0, 2, |i| i, |_, _| ControlFlow::Break(()));
+        assert_eq!(none, None);
+    }
+
+    #[test]
+    fn pipeline_never_runs_further_ahead_than_allowed() {
+        // The sink publishes the next index it will take after the
+        // pipeline's own cursor moved, so a claim may see it one behind.
+        let sunk = AtomicUsize::new(0);
+        let ahead = 3;
+        let broke: Option<()> = par_pipeline(
+            4,
+            64,
+            ahead,
+            |i| {
+                assert!(
+                    i <= sunk.load(Ordering::SeqCst) + ahead,
+                    "index {i} ran too far ahead"
+                );
+                i
+            },
+            |i, _| {
+                sunk.store(i + 1, Ordering::SeqCst);
+                ControlFlow::Continue(())
+            },
+        );
+        assert_eq!(broke, None);
+    }
+
+    #[test]
+    fn pipeline_break_stops_the_workers_and_returns_the_value() {
+        for workers in [1, 4] {
+            let started = AtomicU64::new(0);
+            let mut last = None;
+            let broke = par_pipeline(
+                workers,
+                1_000,
+                4,
+                |i| {
+                    started.fetch_add(1, Ordering::Relaxed);
+                    i
+                },
+                |i, _| {
+                    last = Some(i);
+                    if i == 10 {
+                        ControlFlow::Break("stop")
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            );
+            assert_eq!(broke, Some("stop"));
+            assert_eq!(last, Some(10));
+            // At most the look-ahead past the break ran at all.
+            assert!(started.load(Ordering::Relaxed) <= 11 + 4);
+        }
+    }
+
+    #[test]
+    fn pipeline_panics_propagate_without_hanging() {
+        let caught = std::panic::catch_unwind(|| {
+            par_pipeline(
+                4,
+                64,
+                2,
+                |i| {
+                    if i == 9 {
+                        panic!("unlucky window");
+                    }
+                    i
+                },
+                |_, _| ControlFlow::<()>::Continue(()),
+            )
+        })
+        .expect_err("a worker panic must surface");
+        let msg = caught
+            .downcast_ref::<&str>()
+            .copied()
+            .unwrap_or("wrong payload type");
+        assert!(msg.contains("unlucky window"), "payload was {msg:?}");
+        // A panicking sink stops workers that wait on the look-ahead.
+        let caught = std::panic::catch_unwind(|| {
+            par_pipeline(
+                4,
+                64,
+                2,
+                |i| i,
+                |i, _| {
+                    assert!(i < 5, "sink gives up");
+                    ControlFlow::<()>::Continue(())
+                },
+            )
+        });
+        assert!(caught.is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use slm_core::experiments::{
     run_streaming, run_streaming_crashing, run_streaming_recorded, CpaExperiment, CpaResult,
-    CrashPlan, CrashSite, SensorSource, StreamOutcome, StreamingCpa, StreamingError,
+    CrashPlan, CrashSite, EarlyStop, SensorSource, StreamOutcome, StreamingCpa, StreamingError,
 };
 use slm_fabric::BenignCircuit;
 use slm_obs::Obs;
@@ -270,5 +270,119 @@ fn streaming_final_state_matches_parallel_runner() {
         parallel.recovered_key_byte
     );
     assert_eq!(streamed.result.correct_key_byte, parallel.correct_key_byte);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A recorded run's deterministic metrics, minus the one wall-clock
+/// gauge the engine reports (`stream.traces_per_sec`).
+fn deterministic_frame(obs: &Obs) -> slm_obs::MetricsFrame {
+    let mut frame = obs.snapshot().deterministic();
+    frame.gauges.remove("stream.traces_per_sec");
+    frame
+}
+
+#[test]
+fn default_cadence_is_worker_invariant_with_capture_ahead() {
+    // Committing every window no longer pins capture to one window at
+    // a time: at 2 and 4 workers windows are captured ahead of the
+    // commit cursor (and the pilot runs beside them), yet results and
+    // deterministic metrics match the 1-worker run exactly.
+    let run = |workers: usize| {
+        let dir = scratch_dir(&format!("cadence-{workers}"));
+        let obs = Obs::memory();
+        let r = run_streaming_recorded(&campaign().with_workers(workers), &dir, &obs).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        (r, deterministic_frame(&obs))
+    };
+    let (one, one_frame) = run(1);
+    assert_eq!(&one.result, reference());
+    assert_eq!(one_frame.counter("cpa.traces_absorbed"), 240);
+    assert_eq!(one_frame.counter("stream.commits"), 4);
+    for workers in [2, 4] {
+        let (wide, wide_frame) = run(workers);
+        assert_eq!(wide.result, one.result, "{workers} workers");
+        assert_eq!(wide_frame, one_frame, "{workers} workers");
+        assert_eq!(wide.peak_raw_traces, 60);
+    }
+}
+
+#[test]
+fn early_stop_discards_windows_captured_ahead() {
+    // At 4 workers the look-ahead spans the whole 16-window plan, so
+    // windows past the stop are captured and must be dropped unfolded:
+    // the stop lands at the same trace count as at 1 worker, with the
+    // same result and the same absorbed-trace count.
+    let run = |workers: usize| {
+        let dir = scratch_dir(&format!("early-{workers}"));
+        let exp = StreamingCpa::new(CpaExperiment {
+            circuit: BenignCircuit::DualC6288,
+            source: SensorSource::TdcAll,
+            traces: 4_000,
+            checkpoints: 4,
+            pilot_traces: 20,
+            seed: 45,
+        })
+        .with_workers(workers)
+        .with_early_stop(EarlyStop {
+            min_traces: 1_000,
+            stable_commits: 2,
+            min_margin: 0.01,
+        });
+        let obs = Obs::memory();
+        let r = run_streaming_recorded(&exp, &dir, &obs).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        (r, deterministic_frame(&obs))
+    };
+    let (one, one_frame) = run(1);
+    assert!(one.early_stopped);
+    assert!(one.traces < 4_000, "stopped at {}", one.traces);
+    let (four, four_frame) = run(4);
+    assert!(four.early_stopped);
+    assert_eq!(four.traces, one.traces);
+    assert_eq!(four.result, one.result);
+    assert_eq!(four_frame.counter("cpa.traces_absorbed"), one.traces);
+    assert_eq!(four_frame, one_frame);
+}
+
+#[test]
+fn kill_with_successors_captured_ahead_resumes_bit_identically() {
+    // At 4 workers the look-ahead covers all four windows, so when
+    // group 1 dies — before its fold, or mid-commit — groups 2 and 3
+    // are already captured (or in flight) and are lost with it.
+    for site in [CrashSite::AfterCapture, CrashSite::TornCommit] {
+        let dir = scratch_dir(&format!("ahead-{site:?}"));
+        let exp = campaign().with_workers(4);
+        let mut plan = CrashPlan::none().kill_at(1, site);
+        let killed = run_streaming_crashing(&exp, &dir, |_| {}, &Obs::null(), &mut plan).unwrap();
+        assert_eq!(
+            killed,
+            StreamOutcome::Killed {
+                windows_committed: 1,
+                traces_committed: 60
+            }
+        );
+        let resumed = run_streaming(&exp, &dir).unwrap();
+        assert_eq!(resumed.resumed_generation, Some(1));
+        assert_eq!(&resumed.result, reference());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn fully_committed_ledger_still_runs_the_overlapped_pilot() {
+    // TdcAll overlaps its pilot with the first capture round. A resume
+    // that finds every window committed captures nothing, but the
+    // result still needs the pilot's bits of interest.
+    let dir = scratch_dir("complete-resume");
+    let exp = campaign().with_workers(2);
+    let fresh = run_streaming(&exp, &dir).unwrap();
+    assert!(!fresh.result.bits_of_interest.is_empty());
+    let obs = Obs::memory();
+    let again = run_streaming_recorded(&exp, &dir, &obs).unwrap();
+    assert_eq!(again.resumed_generation, Some(4));
+    assert_eq!(again.result, fresh.result);
+    let frame = obs.snapshot();
+    assert_eq!(frame.counter("cpa.traces_absorbed"), 0);
+    assert_eq!(frame.spans["stream.pilot"].count, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
