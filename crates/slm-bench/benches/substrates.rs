@@ -9,7 +9,7 @@ use slm_fabric::{BenignCircuit, FabricConfig, MultiTenantFabric};
 use slm_netlist::generators::{alu, c6288, ripple_carry_adder};
 use slm_netlist::{bench as bench_fmt, words};
 use slm_pdn::noise::Rng64;
-use slm_pdn::{Pdn, PdnConfig};
+use slm_pdn::{MultiRegionPdn, Pdn, PdnConfig};
 use slm_sensors::{BenignSensor, BenignSensorConfig, TdcConfig, TdcSensor};
 use slm_timing::{simulate_transition, DelayModel};
 use std::hint::black_box;
@@ -65,6 +65,17 @@ fn pdn_and_sensors(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 0.37) % 3.0;
             pdn.step(black_box(i), 3.33e-9)
+        })
+    });
+    // The two-region kernel every fabric tick runs: attacker and victim
+    // rails at the default victim coupling.
+    group.bench_function("multi_region_pdn_step", |b| {
+        let k = FabricConfig::default().victim_coupling;
+        let mut pdn = MultiRegionPdn::uniform(PdnConfig::default(), 2, k);
+        let mut i = 0.0f64;
+        b.iter(|| {
+            i = (i + 0.37) % 3.0;
+            pdn.step(black_box(&[1.5, i]), 3.33e-9)[0]
         })
     });
     group.bench_function("tdc_sample", |b| {

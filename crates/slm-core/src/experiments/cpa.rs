@@ -343,10 +343,7 @@ pub(crate) fn record_fabric_telemetry(fabric: &MultiTenantFabric, obs: &Obs) {
     if !obs.enabled() {
         return;
     }
-    let t = fabric.pdn_telemetry();
-    obs.gauge("pdn.v_min", t.v_min);
-    obs.gauge("pdn.v_max", t.v_max);
-    obs.gauge("pdn.settled_streak", t.settled_streak as f64);
+    fabric.record_pdn_telemetry(obs);
     if let Some(d) = fabric.defense_telemetry() {
         obs.gauge("defense.injected_max_a", d.injected_max_a);
         obs.gauge("defense.injected_mean_a", d.injected_mean_a());

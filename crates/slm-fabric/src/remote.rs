@@ -547,11 +547,7 @@ impl CampaignDriver {
             );
             self.obs
                 .add("faults.injected", now.faults.saturating_sub(base.faults));
-            let t = self.session.fabric().pdn_telemetry();
-            self.obs.gauge("pdn.v_min", t.v_min);
-            self.obs.gauge("pdn.v_max", t.v_max);
-            self.obs
-                .gauge("pdn.settled_streak", t.settled_streak as f64);
+            self.session.fabric().record_pdn_telemetry(&self.obs);
         }
         result
     }
@@ -589,11 +585,7 @@ impl CampaignDriver {
             );
             self.obs
                 .add("faults.injected", now.faults.saturating_sub(base.faults));
-            let t = self.session.fabric().pdn_telemetry();
-            self.obs.gauge("pdn.v_min", t.v_min);
-            self.obs.gauge("pdn.v_max", t.v_max);
-            self.obs
-                .gauge("pdn.settled_streak", t.settled_streak as f64);
+            self.session.fabric().record_pdn_telemetry(&self.obs);
         }
         result
     }

@@ -6,6 +6,7 @@ use crate::error::FabricError;
 use serde::{Deserialize, Serialize};
 use slm_aes::{Aes32Rtl, LeakageModel};
 use slm_defense::{DefenseConfig, DefenseRuntime, DefenseTelemetry};
+use slm_obs::Obs;
 use slm_pdn::noise::Rng64;
 use slm_pdn::{MultiRegionPdn, PdnConfig};
 use slm_sensors::{BenignSensor, BenignSensorConfig, RoArray, SensorSample, TdcConfig, TdcSensor};
@@ -535,6 +536,16 @@ impl MultiTenantFabric {
     /// the observability layer exports.
     pub fn pdn_telemetry(&self) -> slm_pdn::PdnTelemetry {
         self.pdn.telemetry()
+    }
+
+    /// Records [`Self::pdn_telemetry`] as the `pdn.v_min`, `pdn.v_max`
+    /// and `pdn.settled_streak` gauges — the one place every campaign
+    /// engine exports the sensed rail's droop telemetry from.
+    pub fn record_pdn_telemetry(&self, obs: &Obs) {
+        let t = self.pdn.telemetry();
+        obs.gauge("pdn.v_min", t.v_min);
+        obs.gauge("pdn.v_max", t.v_max);
+        obs.gauge("pdn.settled_streak", t.settled_streak as f64);
     }
 
     /// Defense-side telemetry (injected current, detector scores and

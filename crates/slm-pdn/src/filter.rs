@@ -36,8 +36,22 @@ impl SecondOrderFilter {
     /// new output.
     #[inline]
     pub fn step(&mut self, u: f64, dt: f64) -> f64 {
-        let acc = self.omega_n * self.omega_n * (u - self.y)
-            - 2.0 * self.zeta * self.omega_n * self.y_dot;
+        let (omega_sq, damping) = self.coefficients();
+        self.step_with(omega_sq, damping, u, dt)
+    }
+
+    /// `(ωₙ·ωₙ, 2·ζ·ωₙ)`, left-associated as `step` forms them, so a
+    /// caller that hoists them out of its loop rounds identically.
+    #[inline]
+    pub(crate) fn coefficients(&self) -> (f64, f64) {
+        (self.omega_n * self.omega_n, 2.0 * self.zeta * self.omega_n)
+    }
+
+    /// [`SecondOrderFilter::step`] with the coefficients precomputed by
+    /// [`SecondOrderFilter::coefficients`].
+    #[inline]
+    pub(crate) fn step_with(&mut self, omega_sq: f64, damping: f64, u: f64, dt: f64) -> f64 {
+        let acc = omega_sq * (u - self.y) - damping * self.y_dot;
         self.y_dot += dt * acc;
         self.y += dt * self.y_dot;
         // Flush-to-zero: once settled, the state decays into denormal

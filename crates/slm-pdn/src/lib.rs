@@ -14,11 +14,12 @@
 //! * [`SecondOrderFilter`] — the discrete-time underdamped core,
 //! * [`Pdn`] — a single-region supply: current in, voltage out, with
 //!   wideband Gaussian supply noise,
-//! * [`MultiRegionPdn`] — per-region filters with a coupling matrix, for
-//!   attacker/victim placement studies,
+//! * [`MultiRegionPdn`] — two coupled regions (attacker and victim),
+//!   each with its own filter, for placement and co-tenancy studies,
 //! * [`noise`] — a small, fast, deterministic RNG (xoshiro256++) with a
-//!   Box–Muller Gaussian, used by every stochastic component of the
-//!   workspace so whole experiments are reproducible from one seed.
+//!   Marsaglia polar-method Gaussian, used by every stochastic component
+//!   of the workspace so whole experiments are reproducible from one
+//!   seed.
 //!
 //! # Example
 //!

@@ -21,7 +21,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Rng64 {
     s: [u64; 4],
-    /// Cached second output of the last Box–Muller pair.
+    /// Cached second output of the last polar-method pair.
     spare_normal: Option<f64>,
 }
 
@@ -102,20 +102,40 @@ impl Rng64 {
         self.uniform() < p
     }
 
-    /// Standard normal draw (Box–Muller with cached spare).
+    /// Standard normal draw (Marsaglia's polar method with cached
+    /// spare).
     #[inline]
     pub fn normal(&mut self) -> f64 {
         if let Some(z) = self.spare_normal.take() {
             return z;
         }
+        let (z, spare) = self.polar_pair();
+        self.spare_normal = Some(spare);
+        z
+    }
+
+    /// Two standard normal draws, equal to two successive
+    /// [`Rng64::normal`] calls. With no spare cached it is one polar
+    /// pair and caches nothing.
+    #[inline]
+    pub fn normal_pair(&mut self) -> (f64, f64) {
+        match self.spare_normal.take() {
+            Some(z) => (z, self.normal()),
+            None => self.polar_pair(),
+        }
+    }
+
+    /// One accepted draw of Marsaglia's polar method: two independent
+    /// standard normals.
+    #[inline]
+    fn polar_pair(&mut self) -> (f64, f64) {
         loop {
             let u = 2.0 * self.uniform() - 1.0;
             let v = 2.0 * self.uniform() - 1.0;
             let s = u * u + v * v;
             if s > 0.0 && s < 1.0 {
                 let k = (-2.0 * s.ln() / s).sqrt();
-                self.spare_normal = Some(v * k);
-                return u * k;
+                return (u * k, v * k);
             }
         }
     }
@@ -214,6 +234,30 @@ mod tests {
         let mut r = Rng64::new(6);
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
+    }
+
+    #[test]
+    fn normal_pair_equals_two_normal_calls() {
+        // Fresh stream: no spare cached on either side.
+        let mut a = Rng64::new(9);
+        let mut b = Rng64::new(9);
+        for _ in 0..1_000 {
+            let (x, y) = a.normal_pair();
+            assert_eq!(x.to_bits(), b.normal().to_bits());
+            assert_eq!(y.to_bits(), b.normal().to_bits());
+        }
+        assert_eq!(a, b, "same stream position, no spare on either side");
+        // One odd draw leaves a spare cached: the pair must hand it out
+        // first and cache the new pair's second half, as two calls do.
+        let mut a = Rng64::new(10);
+        let mut b = Rng64::new(10);
+        assert_eq!(a.normal().to_bits(), b.normal().to_bits());
+        for _ in 0..1_000 {
+            let (x, y) = a.normal_pair();
+            assert_eq!(x.to_bits(), b.normal().to_bits());
+            assert_eq!(y.to_bits(), b.normal().to_bits());
+        }
+        assert_eq!(a, b, "same stream position and cached spare");
     }
 
     #[test]

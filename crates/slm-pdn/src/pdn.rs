@@ -156,32 +156,41 @@ impl Pdn {
     }
 }
 
-/// Several PDN regions with cross-coupling.
+/// Two PDN regions with cross-coupling.
 ///
 /// Each region has its own second-order response to the current drawn
 /// *in that region*; the voltage observed at region `r` superimposes
-/// every region's droop weighted by `coupling[r][s]`. Diagonal entries
+/// both regions' droop weighted by `coupling[r][s]`. Diagonal entries
 /// are 1; off-diagonal entries below 1 model electrical distance between
 /// tenant placements (Glamočanin et al. observed exactly this
 /// sensitivity-vs-distance effect on cloud FPGAs).
+///
+/// The two regions are the attacker's and the victim's, so the state
+/// lives in fixed-size arrays and [`MultiRegionPdn::step`] is a
+/// straight-line kernel, bit-identical to a per-region loop over
+/// [`SecondOrderFilter::step`] and [`Rng64::normal_scaled`].
 #[derive(Debug, Clone)]
 pub struct MultiRegionPdn {
     config: PdnConfig,
-    filters: Vec<SecondOrderFilter>,
-    coupling: Vec<Vec<f64>>,
+    filters: [SecondOrderFilter; 2],
+    /// The filters' shared `ωₙ·ωₙ` and `2·ζ·ωₙ`, hoisted.
+    omega_sq: f64,
+    damping: f64,
+    coupling: [[f64; 2]; 2],
+    /// Private noise stream, drawn one [`Rng64::normal_pair`] per step,
+    /// so it never caches a spare.
     rng: Rng64,
-    voltages: Vec<f64>,
-    droop_scratch: Vec<f64>,
+    voltages: [f64; 2],
     /// Extra per-region current sources (active-fence noise injectors
     /// and similar countermeasures), added to the caller's currents on
     /// every step. All zero by default, which leaves `step` bit-exact.
-    injected: Vec<f64>,
+    injected: [f64; 2],
     telemetry: PdnTelemetry,
     /// Deepest droop seen by each region — the fault-injection-relevant
     /// extremum (the victim rail's minimum decides whether derated
     /// arrival times violate the clock period). Tracked per step at the
     /// cost of one compare per region.
-    region_v_min: Vec<f64>,
+    region_v_min: [f64; 2],
     settle_band: f64,
 }
 
@@ -191,37 +200,38 @@ impl MultiRegionPdn {
     ///
     /// # Panics
     ///
-    /// Panics if the matrix is not `regions × regions`.
+    /// Panics if the matrix is not `regions × regions`, or if `regions`
+    /// is not 2 ("MultiRegionPdn models exactly two regions").
     pub fn new(config: PdnConfig, regions: usize, coupling: Vec<Vec<f64>>) -> Self {
         assert_eq!(coupling.len(), regions, "coupling rows");
         for row in &coupling {
             assert_eq!(row.len(), regions, "coupling columns");
         }
+        assert_eq!(regions, 2, "MultiRegionPdn models exactly two regions");
+        let filter = SecondOrderFilter::new(config.f_natural_hz, config.zeta);
+        let (omega_sq, damping) = filter.coefficients();
         MultiRegionPdn {
-            filters: vec![SecondOrderFilter::new(config.f_natural_hz, config.zeta); regions],
-            coupling,
+            filters: [filter; 2],
+            omega_sq,
+            damping,
+            coupling: [0, 1].map(|r| [coupling[r][0], coupling[r][1]]),
             rng: Rng64::new(config.seed),
-            voltages: vec![config.v_nominal; regions],
-            droop_scratch: vec![0.0; regions],
-            injected: vec![0.0; regions],
+            voltages: [config.v_nominal; 2],
+            injected: [0.0; 2],
             telemetry: PdnTelemetry::new(config.v_nominal),
-            region_v_min: vec![config.v_nominal; regions],
+            region_v_min: [config.v_nominal; 2],
             settle_band: PdnTelemetry::band(&config),
             config,
         }
     }
 
-    /// Uniformly coupled regions (all off-diagonal entries `k`).
+    /// Uniformly coupled regions (off-diagonal entries `k`); panics
+    /// unless `regions` is 2, as [`MultiRegionPdn::new`].
     pub fn uniform(config: PdnConfig, regions: usize, k: f64) -> Self {
         let coupling = (0..regions)
             .map(|r| (0..regions).map(|s| if r == s { 1.0 } else { k }).collect())
             .collect();
         Self::new(config, regions, coupling)
-    }
-
-    /// Number of regions.
-    pub fn regions(&self) -> usize {
-        self.filters.len()
     }
 
     /// Sets the extra current source of one region, amps. The injection
@@ -242,38 +252,45 @@ impl MultiRegionPdn {
         self.injected[region]
     }
 
-    /// Advances all regions by `dt` with per-region currents (plus any
+    /// Advances both regions by `dt` with per-region currents (plus any
     /// injected extra sources); returns the observed per-region
     /// voltages.
     ///
     /// # Panics
     ///
-    /// Panics if `currents_a.len()` differs from the region count.
+    /// Panics if `currents_a` does not hold exactly two currents.
+    #[inline]
     pub fn step(&mut self, currents_a: &[f64], dt: f64) -> &[f64] {
-        assert_eq!(currents_a.len(), self.filters.len());
-        for (((d, f), &i), &inj) in self
-            .droop_scratch
-            .iter_mut()
-            .zip(&mut self.filters)
-            .zip(currents_a)
-            .zip(&self.injected)
-        {
-            let i = i + inj;
-            *d = f.step(self.config.r_eff * i, dt) + self.config.r_fast * i;
-        }
-        for (r, v) in self.voltages.iter_mut().enumerate() {
-            let mut total = 0.0;
-            for (s, &d) in self.droop_scratch.iter().enumerate() {
-                total += self.coupling[r][s] * d;
-            }
-            *v = self.config.v_nominal - total + self.rng.normal_scaled(self.config.noise_sigma_v);
-            let vmin = &mut self.region_v_min[r];
-            *vmin = vmin.min(*v);
-        }
+        let Ok(currents) = <[f64; 2]>::try_from(currents_a) else {
+            panic!("MultiRegionPdn::step takes one current per region (2)");
+        };
+        let cfg = &self.config;
+        // Drawn first: the pair is independent of the filter state, and
+        // the `ln` call then has no filter values live across it. Like
+        // `normal_scaled`, σ = 0 draws nothing and adds an exact 0.0.
+        let sigma = cfg.noise_sigma_v;
+        let noise = if sigma == 0.0 {
+            [0.0; 2]
+        } else {
+            let (n0, n1) = self.rng.normal_pair();
+            [n0 * sigma, n1 * sigma]
+        };
+        let droop: [f64; 2] = std::array::from_fn(|r| {
+            let i = currents[r] + self.injected[r];
+            self.filters[r].step_with(self.omega_sq, self.damping, cfg.r_eff * i, dt)
+                + cfg.r_fast * i
+        });
+        self.voltages = std::array::from_fn(|r| {
+            // Summed from 0.0 as an accumulator loop is, which turns a
+            // -0.0 sum into +0.0.
+            let total = 0.0 + self.coupling[r][0] * droop[0] + self.coupling[r][1] * droop[1];
+            cfg.v_nominal - total + noise[r]
+        });
+        self.region_v_min = std::array::from_fn(|r| self.region_v_min[r].min(self.voltages[r]));
         // Telemetry watches region 0 — the sensed (attacker-visible)
         // rail in the fabric's layout.
         self.telemetry
-            .update(self.voltages[0], self.config.v_nominal, self.settle_band);
+            .update(self.voltages[0], cfg.v_nominal, self.settle_band);
         &self.voltages
     }
 
@@ -285,7 +302,7 @@ impl MultiRegionPdn {
     /// The deepest droop observed at one region since construction.
     ///
     /// Region 0's value matches the [`MultiRegionPdn::telemetry`]
-    /// extremum; the other regions give the victim-rail ground truth a
+    /// extremum; the other region gives the victim-rail ground truth a
     /// fault-injection experiment needs (how far the aggressor actually
     /// pushed the rail the victim's logic runs from).
     pub fn min_voltage(&self, region: usize) -> f64 {
@@ -383,6 +400,12 @@ mod tests {
     #[should_panic(expected = "coupling rows")]
     fn bad_coupling_shape_panics() {
         let _ = MultiRegionPdn::new(PdnConfig::default(), 2, vec![vec![1.0, 0.5]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly two regions")]
+    fn three_regions_panic() {
+        let _ = MultiRegionPdn::uniform(PdnConfig::default(), 3, 0.5);
     }
 
     #[test]

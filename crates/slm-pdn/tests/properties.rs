@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use slm_pdn::noise::Rng64;
-use slm_pdn::{MultiRegionPdn, Pdn, PdnConfig, SecondOrderFilter};
+use slm_pdn::{MultiRegionPdn, Pdn, PdnConfig, PdnTelemetry, SecondOrderFilter};
 
 const DT: f64 = 3.33e-9;
 
@@ -11,6 +11,162 @@ fn quiet(seed: u64) -> PdnConfig {
         noise_sigma_v: 0.0,
         seed,
         ..PdnConfig::default()
+    }
+}
+
+/// The generic N-region step the fixed two-region kernel replaced: a
+/// `Vec` of filters, a `Vec<Vec<f64>>` coupling matrix, an accumulator
+/// loop per region and one `normal_scaled` draw per region. Kept here
+/// as the reference the kernel must match bit for bit.
+struct ReferencePdn {
+    config: PdnConfig,
+    filters: Vec<SecondOrderFilter>,
+    coupling: Vec<Vec<f64>>,
+    rng: Rng64,
+    voltages: Vec<f64>,
+    injected: Vec<f64>,
+    telemetry: PdnTelemetry,
+    region_v_min: Vec<f64>,
+    settle_band: f64,
+}
+
+impl ReferencePdn {
+    fn new(config: PdnConfig, coupling: Vec<Vec<f64>>) -> Self {
+        let n = coupling.len();
+        ReferencePdn {
+            filters: vec![SecondOrderFilter::new(config.f_natural_hz, config.zeta); n],
+            coupling,
+            rng: Rng64::new(config.seed),
+            voltages: vec![config.v_nominal; n],
+            injected: vec![0.0; n],
+            telemetry: PdnTelemetry {
+                v_min: config.v_nominal,
+                v_max: config.v_nominal,
+                steps: 0,
+                settled_streak: 0,
+            },
+            region_v_min: vec![config.v_nominal; n],
+            settle_band: (4.0 * config.noise_sigma_v).max(1e-3),
+            config,
+        }
+    }
+
+    fn step(&mut self, currents_a: &[f64], dt: f64) -> &[f64] {
+        let droop: Vec<f64> = self
+            .filters
+            .iter_mut()
+            .zip(currents_a)
+            .zip(&self.injected)
+            .map(|((f, &i), &inj)| {
+                let i = i + inj;
+                f.step(self.config.r_eff * i, dt) + self.config.r_fast * i
+            })
+            .collect();
+        for (r, v) in self.voltages.iter_mut().enumerate() {
+            let mut total = 0.0;
+            for (s, &d) in droop.iter().enumerate() {
+                total += self.coupling[r][s] * d;
+            }
+            *v = self.config.v_nominal - total + self.rng.normal_scaled(self.config.noise_sigma_v);
+            self.region_v_min[r] = self.region_v_min[r].min(*v);
+        }
+        let v = self.voltages[0];
+        let t = &mut self.telemetry;
+        t.v_min = t.v_min.min(v);
+        t.v_max = t.v_max.max(v);
+        t.steps += 1;
+        if (v - self.config.v_nominal).abs() <= self.settle_band {
+            t.settled_streak += 1;
+        } else {
+            t.settled_streak = 0;
+        }
+        &self.voltages
+    }
+}
+
+fn bits(t: PdnTelemetry) -> [u64; 4] {
+    [
+        t.v_min.to_bits(),
+        t.v_max.to_bits(),
+        t.steps,
+        t.settled_streak,
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The fixed two-region kernel is bit-identical to the generic
+    /// per-region loop: voltages, per-region minima and telemetry, over
+    /// filter parameters, symmetric and asymmetric coupling, varying
+    /// per-tick currents (including a long idle run that lets the
+    /// filters flush to zero), a mid-run injection schedule, and both
+    /// quiet and noisy supplies.
+    #[test]
+    fn two_region_kernel_matches_generic_step(
+        seed in any::<u64>(),
+        f_mhz in 3.0f64..10.0,
+        zeta in 0.2f64..0.9,
+        k01 in 0.0f64..1.0,
+        k10 in 0.0f64..1.0,
+        symmetric in any::<bool>(),
+        noisy in any::<bool>(),
+        drive_seed in any::<u64>(),
+    ) {
+        let cfg = PdnConfig {
+            seed,
+            f_natural_hz: f_mhz * 1e6,
+            zeta,
+            noise_sigma_v: if noisy { PdnConfig::default().noise_sigma_v } else { 0.0 },
+            ..PdnConfig::default()
+        };
+        let k10 = if symmetric { k01 } else { k10 };
+        let coupling = vec![vec![1.0, k01], vec![k10, 1.0]];
+        let mut kernel = MultiRegionPdn::new(cfg, 2, coupling.clone());
+        let mut reference = ReferencePdn::new(cfg, coupling);
+        let mut drive = Rng64::new(drive_seed);
+        for step in 0..5_600 {
+            // Load, then a long idle stretch with the injectors off (the
+            // filters decay into their flush-to-zero branch), then load
+            // again; injections change only while loaded.
+            let idle = (300..5_300).contains(&step);
+            if step == 300 {
+                for region in 0..2 {
+                    kernel.set_injected(region, 0.0);
+                    reference.injected[region] = 0.0;
+                }
+            }
+            let currents = if idle {
+                [0.0, 0.0]
+            } else {
+                [drive.uniform_in(0.0, 5.0), drive.uniform_in(0.0, 3.0)]
+            };
+            if !idle && drive.chance(0.02) {
+                let region = drive.below(2) as usize;
+                let amps = if drive.chance(0.3) { 0.0 } else { drive.uniform_in(0.0, 2.0) };
+                kernel.set_injected(region, amps);
+                reference.injected[region] = amps;
+            }
+            if step == 5_299 {
+                prop_assert!(
+                    reference.filters.iter().all(|f| f.output() == 0.0),
+                    "idle stretch reaches the flush-to-zero branch"
+                );
+            }
+            let got: Vec<u64> = kernel.step(&currents, DT).iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = reference.step(&currents, DT).iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want, "voltages at step {}", step);
+            for r in 0..2 {
+                prop_assert_eq!(
+                    kernel.min_voltage(r).to_bits(),
+                    reference.region_v_min[r].to_bits(),
+                    "min_voltage({}) at step {}", r, step
+                );
+                prop_assert_eq!(kernel.voltage(r).to_bits(), reference.voltages[r].to_bits());
+                prop_assert_eq!(kernel.injected(r).to_bits(), reference.injected[r].to_bits());
+            }
+            prop_assert_eq!(bits(kernel.telemetry()), bits(reference.telemetry), "telemetry at step {}", step);
+        }
     }
 }
 
