@@ -53,6 +53,25 @@ pub struct CpaExperiment {
     pub seed: u64,
 }
 
+impl CpaExperiment {
+    /// The fabric this campaign attacks: its circuit and seed on the
+    /// default fabric, then `tweak` (a defense, fence or placement).
+    pub(crate) fn fabric_config(&self, tweak: impl FnOnce(&mut FabricConfig)) -> FabricConfig {
+        let mut config = FabricConfig {
+            benign: self.circuit,
+            seed: self.seed,
+            ..FabricConfig::default()
+        };
+        tweak(&mut config);
+        config
+    }
+
+    /// Spacing of the global progress checkpoints, in traces.
+    pub(crate) fn checkpoint_every(&self) -> u64 {
+        (self.traces / self.checkpoints.max(1) as u64).max(1)
+    }
+}
+
 /// Outcome of one CPA campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CpaResult {
@@ -104,10 +123,11 @@ pub fn run_cpa_recorded(exp: &CpaExperiment, obs: &Obs) -> Result<CpaResult, Fab
 
 /// Everything the pilot phase decides about a campaign: the hypothesis
 /// model, the ground truth, the derived endpoint selections and the
-/// trace post-processing. Shared between the serial and sharded
-/// campaign loops so both paths make identical offline decisions.
+/// trace post-processing. Every lane of a campaign captures with the
+/// same setup, so all engines make identical offline decisions.
 #[derive(Debug, Clone)]
 pub(crate) struct CampaignSetup {
+    pub source: SensorSource,
     pub model: LastRoundModel,
     pub correct_key_byte: u8,
     pub bits_of_interest: Vec<usize>,
@@ -118,6 +138,15 @@ pub(crate) struct CampaignSetup {
     pub endpoints: Vec<usize>,
     pub single_bit_slots: usize,
     pub processor: Option<PostProcessor>,
+}
+
+impl CampaignSetup {
+    /// Fresh accumulators, one per attack slot.
+    pub fn attacks(&self) -> Vec<CpaAttack> {
+        (0..self.single_bit_slots)
+            .map(|_| CpaAttack::new(self.model, self.points))
+            .collect()
+    }
 }
 
 /// Runs the pilot phase on a fresh fabric built from `config` and
@@ -177,25 +206,14 @@ pub(crate) fn pilot_setup(
         }
         _ => Vec::new(),
     };
-    let selected_bit = match exp.source {
-        SensorSource::BenignSingleBit(_) => Some(candidate_bits.first().copied().unwrap_or(0)),
-        SensorSource::TdcSingleBit(Some(b)) => Some(b),
-        SensorSource::TdcSingleBit(None) => Some(tdc_median as usize),
-        _ => None,
-    };
-
-    let window = fabric.last_round_window();
-    let points = window.len();
-    let endpoints: Vec<usize> = match exp.source {
-        SensorSource::TdcAll | SensorSource::TdcSingleBit(_) => Vec::new(),
-        SensorSource::BenignHammingWeight => bits_of_interest.clone(),
-        SensorSource::BenignSingleBit(_) => candidate_bits.clone(),
-    };
-    let single_bit_slots = match exp.source {
-        SensorSource::BenignSingleBit(_) => candidate_bits.len().max(1),
-        _ => 1,
-    };
-    let processor = match exp.source {
+    // Per source: the tap or endpoint a single-bit attack reads first,
+    // the endpoints captured, and the trace post-processing (only the
+    // Hamming weight needs one; the single-bit reads are inline).
+    let (selected_bit, endpoints, processor) = match exp.source {
+        SensorSource::TdcAll => (None, Vec::new(), None),
+        SensorSource::TdcSingleBit(tap) => {
+            (Some(tap.unwrap_or(tdc_median as usize)), Vec::new(), None)
+        }
         SensorSource::BenignHammingWeight => {
             // Align each endpoint's droop polarity, estimated offline
             // from the pilot recording (covariance with the common
@@ -204,14 +222,19 @@ pub(crate) fn pilot_setup(
             // weight; the C6288's mixed rise/fall endpoints would
             // otherwise cancel in the sum.
             let invert = common_mode_polarity(&pilot_samples, &bits_of_interest);
-            Some(PostProcessor::HammingWeightAligned(invert))
+            let processor = PostProcessor::HammingWeightAligned(invert);
+            (None, bits_of_interest.clone(), Some(processor))
         }
-        SensorSource::BenignSingleBit(_) => Some(PostProcessor::SingleBit(0)),
-        _ => None,
+        SensorSource::BenignSingleBit(_) => (Some(candidate_bits[0]), candidate_bits.clone(), None),
     };
+    let window = fabric.last_round_window();
+    let points = window.len();
+    // Only single-bit sources have candidates; the others run one slot.
+    let single_bit_slots = candidate_bits.len().max(1);
     Ok((
         fabric,
         CampaignSetup {
+            source: exp.source,
             model,
             correct_key_byte,
             bits_of_interest,
@@ -229,9 +252,10 @@ pub(crate) fn pilot_setup(
 /// Whether every campaign decision for `source` is known without
 /// running pilot captures. TDC sources with a fixed (or no) tap don't
 /// depend on pilot statistics — only the result's `bits_of_interest`
-/// metadata comes from the pilot — so a sharded campaign can start
-/// capturing immediately and run the pilot concurrently as one more
-/// task on the worker pool.
+/// metadata comes from the pilot — so a campaign can start capturing
+/// from a zero-trace pilot's setup (geometry, model and ground truth)
+/// and run the real pilot concurrently as one more task on the worker
+/// pool.
 pub(crate) fn pilot_independent(source: SensorSource) -> bool {
     matches!(
         source,
@@ -239,47 +263,16 @@ pub(crate) fn pilot_independent(source: SensorSource) -> bool {
     )
 }
 
-/// The pilot-free part of [`pilot_setup`]: geometry, model and ground
-/// truth, derivable from the fabric configuration alone. Only valid
-/// for [`pilot_independent`] sources — the fields a pilot would fill
-/// (`bits_of_interest`) are left empty and must be patched from the
-/// real pilot before assembling the result.
-pub(crate) fn geometry_setup(
-    exp: &CpaExperiment,
-    config: &FabricConfig,
-) -> Result<CampaignSetup, FabricError> {
-    debug_assert!(pilot_independent(exp.source));
-    let fabric = MultiTenantFabric::new(config)?;
-    let model = LastRoundModel::paper_target();
-    let window = fabric.last_round_window();
-    Ok(CampaignSetup {
-        model,
-        correct_key_byte: fabric.aes().round_keys()[10][model.ct_byte],
-        bits_of_interest: Vec::new(),
-        candidate_bits: Vec::new(),
-        selected_bit: match exp.source {
-            SensorSource::TdcSingleBit(Some(b)) => Some(b),
-            _ => None,
-        },
-        points: window.len(),
-        window,
-        endpoints: Vec::new(),
-        single_bit_slots: 1,
-        processor: None,
-    })
-}
-
 /// Post-processes one capture into the trace points of attack slot
 /// `slot` — the single shared definition of every sensor source's
 /// trace-point function, used by the batched absorb path.
 fn fill_points(
-    source: SensorSource,
     setup: &CampaignSetup,
     rec: &slm_fabric::CaptureRecord,
     slot: usize,
     point_buf: &mut [f64],
 ) {
-    match source {
+    match setup.source {
         SensorSource::TdcAll => {
             for (dst, &d) in point_buf.iter_mut().zip(&rec.tdc) {
                 *dst = f64::from(d);
@@ -312,8 +305,7 @@ fn fill_points(
 /// order (the accumulator cells see the same additions in the same
 /// order). `staging` buffers are cleared on return; their allocations
 /// are reused across chunks.
-pub(crate) fn absorb_batch(
-    source: SensorSource,
+fn absorb_batch(
     setup: &CampaignSetup,
     recs: &[slm_fabric::CaptureRecord],
     attacks: &mut [CpaAttack],
@@ -324,7 +316,7 @@ pub(crate) fn absorb_batch(
     obs.add("cpa.traces_absorbed", recs.len() as u64);
     for rec in recs {
         for (slot, batch) in staging.iter_mut().enumerate() {
-            fill_points(source, setup, rec, slot, point_buf);
+            fill_points(setup, rec, slot, point_buf);
             batch.push(rec.ciphertext, point_buf);
         }
     }
@@ -333,6 +325,143 @@ pub(crate) fn absorb_batch(
             .add_batch_recorded(batch, obs)
             .expect("staging geometry matches the attack");
         batch.clear();
+    }
+}
+
+/// The span and histogram names an engine records under: `cpa.*` for
+/// the serial and sharded campaigns, `stream.*` for the streaming one.
+/// Counters the engines share (`cpa.traces_absorbed`, the accumulator
+/// counters) keep their `cpa.*` names everywhere.
+#[derive(Debug)]
+pub(crate) struct Names {
+    pub pilot: &'static str,
+    /// Wraps one re-seeded lane (shard or window), fabric build included.
+    pub lane: &'static str,
+    pub build: &'static str,
+    pub capture: &'static str,
+    pub absorb: &'static str,
+    /// Wraps one progress evaluation (the streaming engine has none).
+    pub eval: Option<&'static str>,
+    /// Histogram of slot 0's leader margin at each progress point.
+    pub margin: &'static str,
+}
+
+pub(crate) const CPA: Names = Names {
+    pilot: "cpa.pilot",
+    lane: "cpa.shard",
+    build: "cpa.build",
+    capture: "cpa.capture",
+    absorb: "cpa.absorb",
+    eval: Some("cpa.eval"),
+    margin: "cpa.checkpoint_margin",
+};
+
+pub(crate) const STREAM: Names = Names {
+    pilot: "stream.pilot",
+    lane: "stream.window",
+    build: "stream.build",
+    capture: "stream.capture",
+    absorb: "stream.absorb",
+    eval: None,
+    margin: "stream.checkpoint_margin",
+};
+
+/// A run of consecutive campaign traces captured on one fabric — the
+/// whole budget of a serial campaign, one shard of a sharded campaign,
+/// or one window of a streaming campaign.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lane {
+    /// Global index of the lane's first trace.
+    pub start: u64,
+    /// Traces in the lane.
+    pub traces: u64,
+    /// Most traces captured before they are absorbed: the raw traces
+    /// the lane holds at once.
+    pub chunk: u64,
+    /// Spacing of the campaign's global progress checkpoints
+    /// (`u64::MAX`: none).
+    pub checkpoint_every: u64,
+}
+
+/// The campaign kernel every engine runs: captures the traces of
+/// `lane` on `fabric` in chunks of at most `lane.chunk` that never
+/// cross a global checkpoint, and absorbs each chunk through
+/// [`absorb_batch`] in [`ABSORB_BATCH`]-trace pieces. Plaintext
+/// generation stays interleaved with encryption (both draw from the
+/// fabric's seed stream), and batch absorption is bit-identical to
+/// one-at-a-time absorption, so neither bound changes the result.
+///
+/// `at_checkpoint` sees the lane's accumulators at every global
+/// checkpoint strictly inside the lane; the checkpoint at the lane's
+/// end, if any, is the caller's. Returns the lane's accumulators and
+/// the most raw traces it held at once.
+pub(crate) fn capture_lane(
+    setup: &CampaignSetup,
+    fabric: &mut MultiTenantFabric,
+    lane: &Lane,
+    names: &Names,
+    obs: &Obs,
+    mut at_checkpoint: impl FnMut(u64, &[CpaAttack]),
+) -> (Vec<CpaAttack>, u64) {
+    let mut attacks = setup.attacks();
+    let mut point_buf = vec![0.0f64; setup.points];
+    let mut staging: Vec<TraceBatch> = (0..setup.single_bit_slots)
+        .map(|_| TraceBatch::with_capacity(setup.points, ABSORB_BATCH as usize))
+        .collect();
+    let mut recs: Vec<slm_fabric::CaptureRecord> =
+        Vec::with_capacity(lane.chunk.min(lane.traces) as usize);
+    let (every, end) = (lane.checkpoint_every, lane.start + lane.traces);
+    let mut held = 0u64;
+    let mut t = lane.start;
+    while t < end {
+        let stop = ((t / every + 1) * every).min(end).min(t + lane.chunk);
+        recs.clear();
+        {
+            let _capture_span = obs.span(names.capture);
+            for _ in t..stop {
+                let pt = fabric.random_plaintext();
+                recs.push(fabric.encrypt_windowed(pt, setup.window.clone(), &setup.endpoints));
+            }
+        }
+        held = held.max(recs.len() as u64);
+        {
+            let _absorb_span = obs.span(names.absorb);
+            for piece in recs.chunks(ABSORB_BATCH as usize) {
+                absorb_batch(
+                    setup,
+                    piece,
+                    &mut attacks,
+                    &mut staging,
+                    &mut point_buf,
+                    obs,
+                );
+            }
+        }
+        t = stop;
+        if t % every == 0 && t < end {
+            at_checkpoint(t, &attacks);
+        }
+    }
+    (attacks, held)
+}
+
+/// Appends one progress point per slot at `traces`, evaluated on
+/// `attacks` under the engine's eval span; slot 0's leader margin
+/// feeds the engine's margin histogram.
+pub(crate) fn push_progress(
+    progress_per: &mut [Vec<ProgressPoint>],
+    traces: u64,
+    attacks: &[CpaAttack],
+    names: &Names,
+    obs: &Obs,
+) {
+    let _eval_span = names.eval.map(|span| obs.span(span));
+    for (slot, attack) in attacks.iter().enumerate() {
+        let peak_corr = attack.peak_correlations().to_vec();
+        if slot == 0 {
+            obs.observe(names.margin, leader_margin(&peak_corr));
+        }
+        progress_per[slot].push(ProgressPoint { traces, peak_corr });
     }
 }
 
@@ -355,13 +484,21 @@ pub(crate) fn record_fabric_telemetry(fabric: &MultiTenantFabric, obs: &Obs) {
     }
 }
 
+/// The slot whose leading candidate separates best (the last of equal
+/// margins), given each slot's leader margin.
+pub(crate) fn best_slot(margins: impl Iterator<Item = f64>) -> usize {
+    margins
+        .enumerate()
+        .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("margins are finite"))
+        .map_or(0, |(slot, _)| slot)
+}
+
 /// Turns finished accumulators and their progress curves into a
 /// [`CpaResult`]: picks the best single-bit candidate slot, derives the
 /// MTD and the recovered byte. `eval_workers` threads evaluate the final
 /// correlation surface (1 = serial; the evaluation is bit-identical at
 /// any count).
 pub(crate) fn assemble_result(
-    exp: &CpaExperiment,
     setup: &CampaignSetup,
     attacks: &[CpaAttack],
     mut progress_per: Vec<Vec<ProgressPoint>>,
@@ -374,17 +511,15 @@ pub(crate) fn assemble_result(
     let chosen_slot = if attacks.len() == 1 {
         0
     } else {
-        (0..attacks.len())
-            .max_by(|&a, &b| {
-                let ma = leader_margin(&attacks[a].peak_correlations());
-                let mb = leader_margin(&attacks[b].peak_correlations());
-                ma.partial_cmp(&mb).expect("margins are finite")
-            })
-            .unwrap_or(0)
+        best_slot(
+            attacks
+                .iter()
+                .map(|a| leader_margin(&a.peak_correlations())),
+        )
     };
     let attack = &attacks[chosen_slot];
     let progress = progress_per.swap_remove(chosen_slot);
-    let selected_bit = match exp.source {
+    let selected_bit = match setup.source {
         SensorSource::BenignSingleBit(_) => setup.candidate_bits.get(chosen_slot).copied(),
         _ => setup.selected_bit,
     };
@@ -415,6 +550,9 @@ pub(crate) fn assemble_result(
 /// [`run_cpa`] with a fabric-configuration hook applied before the
 /// fabric is built — used by the countermeasure and placement studies.
 ///
+/// The main phase is one lane over the whole budget on the pilot's own
+/// fabric, so it continues the pilot's noise and plaintext streams.
+///
 /// # Errors
 ///
 /// Propagates fabric construction failures.
@@ -423,80 +561,26 @@ pub(crate) fn run_cpa_inner(
     tweak: impl FnOnce(&mut FabricConfig),
     obs: &Obs,
 ) -> Result<CpaResult, FabricError> {
-    let mut config = FabricConfig {
-        benign: exp.circuit,
-        seed: exp.seed,
-        ..FabricConfig::default()
-    };
-    tweak(&mut config);
+    let config = exp.fabric_config(tweak);
     let (mut fabric, setup) = {
-        let _pilot_span = obs.span("cpa.pilot");
+        let _pilot_span = obs.span(CPA.pilot);
         pilot_setup(exp, &config)?
     };
-
-    // ---- main phase -----------------------------------------------------
-    // One attack per single-bit candidate (index 0 used by the other
-    // sources).
-    let mut attacks: Vec<CpaAttack> = (0..setup.single_bit_slots)
-        .map(|_| CpaAttack::new(setup.model, setup.points))
-        .collect();
-    let mut progress_per: Vec<Vec<ProgressPoint>> =
-        vec![Vec::with_capacity(exp.checkpoints); setup.single_bit_slots];
-    let checkpoint_every = (exp.traces / exp.checkpoints.max(1) as u64).max(1);
-    let mut point_buf = vec![0.0f64; setup.points];
-    let mut staging: Vec<TraceBatch> = (0..setup.single_bit_slots)
-        .map(|_| TraceBatch::with_capacity(setup.points, ABSORB_BATCH as usize))
-        .collect();
-    let mut recs: Vec<slm_fabric::CaptureRecord> = Vec::with_capacity(ABSORB_BATCH as usize);
-    // Chunked capture loop: up to ABSORB_BATCH traces per chunk, never
-    // crossing a checkpoint boundary. Plaintext generation stays
-    // interleaved with encryption (both draw from the fabric's seed
-    // stream), so the captured traces are the same as the one-at-a-time
-    // loop's, and batch absorption is bit-identical to scalar
-    // absorption — the whole refactor is invisible to the result.
-    let mut t = 0u64;
-    while t < exp.traces {
-        let boundary = (t / checkpoint_every + 1) * checkpoint_every;
-        let stop = boundary.min(exp.traces).min(t + ABSORB_BATCH);
-        recs.clear();
-        {
-            let _capture_span = obs.span("cpa.capture");
-            for _ in t..stop {
-                let pt = fabric.random_plaintext();
-                recs.push(fabric.encrypt_windowed(pt, setup.window.clone(), &setup.endpoints));
-            }
-        }
-        {
-            let _absorb_span = obs.span("cpa.absorb");
-            absorb_batch(
-                exp.source,
-                &setup,
-                &recs,
-                &mut attacks,
-                &mut staging,
-                &mut point_buf,
-                obs,
-            );
-        }
-        t = stop;
-        if t % checkpoint_every == 0 || t == exp.traces {
-            let _eval_span = obs.span("cpa.eval");
-            for (slot, attack) in attacks.iter().enumerate() {
-                let peaks = attack.peak_correlations().to_vec();
-                if slot == 0 {
-                    obs.observe("cpa.checkpoint_margin", leader_margin(&peaks));
-                }
-                progress_per[slot].push(ProgressPoint {
-                    traces: t,
-                    peak_corr: peaks,
-                });
-            }
-        }
+    let mut progress_per = vec![Vec::with_capacity(exp.checkpoints); setup.single_bit_slots];
+    let lane = Lane {
+        start: 0,
+        traces: exp.traces,
+        chunk: ABSORB_BATCH,
+        checkpoint_every: exp.checkpoint_every(),
+    };
+    let (attacks, _) = capture_lane(&setup, &mut fabric, &lane, &CPA, obs, |t, at| {
+        push_progress(&mut progress_per, t, at, &CPA, obs)
+    });
+    if exp.traces > 0 {
+        push_progress(&mut progress_per, exp.traces, &attacks, &CPA, obs);
     }
     record_fabric_telemetry(&fabric, obs);
-
     Ok(assemble_result(
-        exp,
         &setup,
         &attacks,
         progress_per,

@@ -258,21 +258,6 @@ pub fn run_cpa_with(
     super::cpa::run_cpa_inner(exp, tweak, &slm_obs::Obs::null())
 }
 
-/// [`run_cpa_with`] with an observability handle — a tweaked campaign
-/// that also emits `cpa.*` and (when a defense is mounted) `defense.*`
-/// telemetry. Used by the attack-vs-defense matrix.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn run_cpa_with_recorded(
-    exp: &CpaExperiment,
-    tweak: impl FnOnce(&mut FabricConfig),
-    obs: &slm_obs::Obs,
-) -> Result<CpaResult, FabricError> {
-    super::cpa::run_cpa_inner(exp, tweak, obs)
-}
-
 /// Masking study: the same campaign against an unmasked and a
 /// first-order-masked AES datapath.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -26,9 +26,8 @@ pub use defense_matrix::{
     DetectorEval, DetectorReading, MatrixCell,
 };
 pub use extensions::{
-    fence_study, full_key_recovery, masking_study, placement_study, run_cpa_with,
-    run_cpa_with_recorded, tdc_dominates, tvla_study, FenceStudy, FullKeyResult, MaskingStudy,
-    PlacementRow, TvlaResult,
+    fence_study, full_key_recovery, masking_study, placement_study, run_cpa_with, tdc_dominates,
+    tvla_study, FenceStudy, FullKeyResult, MaskingStudy, PlacementRow, TvlaResult,
 };
 pub use fault_matrix::{
     fault_matrix, fault_matrix_recorded, run_fault_campaign, run_fault_campaign_recorded,
@@ -36,8 +35,7 @@ pub use fault_matrix::{
     FaultMatrixExperiment,
 };
 pub use parallel::{
-    run_cpa_parallel, run_cpa_parallel_recorded, run_cpa_parallel_with,
-    run_cpa_parallel_with_recorded, ParallelCpa,
+    run_cpa_parallel, run_cpa_parallel_recorded, run_cpa_parallel_with_recorded, ParallelCpa,
 };
 pub use preliminary::{
     activity_study, bit_census, bit_variance, ro_response, ActivityStudy, CensusResult, RoResponse,

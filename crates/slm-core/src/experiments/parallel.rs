@@ -3,31 +3,21 @@
 //! The serial [`run_cpa`](super::cpa::run_cpa) captures every trace on
 //! one fabric whose electrical state threads through the whole
 //! campaign; that stream cannot be split without changing the traces.
-//! The parallel runner instead splits the *budget* into deterministic
-//! shards ([`ShardPlan`]): each shard is an independent capture session
-//! on its own fabric, re-seeded per shard ([`FabricConfig::for_shard`])
-//! so shard `i` produces the same traces no matter which worker runs
-//! it or how many workers exist. Shard partials are mergeable CPA
-//! accumulators ([`slm_cpa::CpaAttack::merge`]); folding them in shard
-//! order makes the whole campaign — progress curves, MTD, recovered
-//! byte — bit-identical at any worker count. The serial reference for
-//! a parallel campaign is therefore `workers = 1` over the same plan,
-//! not the single-fabric [`run_cpa`](super::cpa::run_cpa) stream.
-//!
-//! The pilot phase (bits of interest, endpoint selection) is not
-//! sharded: it runs once on the base configuration, exactly as the
-//! serial runner's pilot does, and every shard inherits its decisions.
+//! A sharded campaign instead splits the *budget* into deterministic
+//! shards ([`ShardPlan`]), each captured on its own fabric re-seeded
+//! per shard ([`FabricConfig::for_shard`]), so shard `i` produces the
+//! same traces whichever worker runs it. It is the campaign planner of
+//! the [streaming engine](super::streaming) without a ledger: shards are
+//! its lanes, folded in shard order, which makes the whole result
+//! bit-identical at any worker count. The serial reference for a sharded
+//! campaign is therefore `workers = 1` over the same plan, not the
+//! single-fabric [`run_cpa`](super::cpa::run_cpa) stream.
 
-use super::cpa::{
-    absorb_batch, assemble_result, geometry_setup, pilot_independent, pilot_setup,
-    record_fabric_telemetry, CampaignSetup, CpaExperiment, CpaResult, ABSORB_BATCH,
-};
+use super::cpa::{CpaExperiment, CpaResult};
+use super::streaming::{run_planner, StreamOutcome, StreamingCpa, StreamingError};
 use serde::{Deserialize, Serialize};
-use slm_cpa::{leader_margin, CpaAttack, ProgressPoint, TraceBatch};
-use slm_fabric::{FabricConfig, FabricError, MultiTenantFabric, ShardPlan};
-use slm_obs::{MetricsFrame, Obs};
-use slm_par::ShardSpec;
-use std::ops::ControlFlow;
+use slm_fabric::{FabricConfig, FabricError, ShardPlan};
+use slm_obs::Obs;
 
 /// A sharded, multi-threaded CPA campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -70,23 +60,13 @@ impl ParallelCpa {
     }
 }
 
-/// Per-shard capture output: accumulators snapshotted at every global
-/// checkpoint that falls inside the shard, plus the finished partials
-/// and the shard's private metrics frame (folded in shard order, so
-/// merged metrics are worker-count invariant too).
-struct ShardPartial {
-    snapshots: Vec<(u64, Vec<CpaAttack>)>,
-    attacks: Vec<CpaAttack>,
-    frame: MetricsFrame,
-}
-
 /// Runs a sharded CPA campaign on a worker pool.
 ///
 /// # Errors
 ///
 /// Propagates fabric construction failures.
 pub fn run_cpa_parallel(exp: &ParallelCpa) -> Result<CpaResult, FabricError> {
-    run_cpa_parallel_inner(exp, |_| {}, &Obs::null())
+    run_cpa_parallel_with_recorded(exp, |_| {}, &Obs::null())
 }
 
 /// [`run_cpa_parallel`] with an observability handle. Each shard
@@ -98,28 +78,14 @@ pub fn run_cpa_parallel(exp: &ParallelCpa) -> Result<CpaResult, FabricError> {
 ///
 /// Propagates fabric construction failures.
 pub fn run_cpa_parallel_recorded(exp: &ParallelCpa, obs: &Obs) -> Result<CpaResult, FabricError> {
-    run_cpa_parallel_inner(exp, |_| {}, obs)
+    run_cpa_parallel_with_recorded(exp, |_| {}, obs)
 }
 
-/// [`run_cpa_parallel`] with a fabric-configuration hook applied once
-/// to the base configuration before the pilot and before shard
-/// re-seeding — the parallel analogue of
-/// [`run_cpa_with`](super::extensions::run_cpa_with).
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn run_cpa_parallel_with(
-    exp: &ParallelCpa,
-    tweak: impl FnOnce(&mut FabricConfig),
-) -> Result<CpaResult, FabricError> {
-    run_cpa_parallel_inner(exp, tweak, &Obs::null())
-}
-
-/// [`run_cpa_parallel_with`] with an observability handle — the
-/// tweaked, sharded campaign with shard-order metrics folding. Used by
-/// defended campaign drivers that want both a defense hook and
-/// telemetry.
+/// [`run_cpa_parallel_recorded`] with a fabric-configuration hook
+/// applied once to the base configuration before the pilot and before
+/// shard re-seeding — the sharded analogue of
+/// [`run_cpa_with`](super::extensions::run_cpa_with). Used by defended
+/// campaign drivers that want both a defense hook and telemetry.
 ///
 /// # Errors
 ///
@@ -129,245 +95,21 @@ pub fn run_cpa_parallel_with_recorded(
     tweak: impl FnOnce(&mut FabricConfig),
     obs: &Obs,
 ) -> Result<CpaResult, FabricError> {
-    run_cpa_parallel_inner(exp, tweak, obs)
-}
-
-/// Captures one shard: a chunked, batch-absorbed campaign loop on the
-/// shard's private fabric, snapshotting at every global checkpoint that
-/// falls inside the shard. Records into a private fork of `obs`; the
-/// frame travels with the partial and is folded in shard order by the
-/// caller.
-fn capture_shard(
-    base: &CpaExperiment,
-    setup: &CampaignSetup,
-    config: &FabricConfig,
-    spec: &ShardSpec,
-    checkpoint_every: u64,
-    total: u64,
-    obs: &Obs,
-) -> Result<ShardPartial, FabricError> {
-    let shard_obs = obs.fork();
-    let shard_config = config.for_shard(spec.index);
-    let mut attacks: Vec<CpaAttack> = (0..setup.single_bit_slots)
-        .map(|_| CpaAttack::new(setup.model, setup.points))
-        .collect();
-    let mut snapshots: Vec<(u64, Vec<CpaAttack>)> = Vec::new();
-    let mut point_buf = vec![0.0f64; setup.points];
-    let mut staging: Vec<TraceBatch> = (0..setup.single_bit_slots)
-        .map(|_| TraceBatch::with_capacity(setup.points, ABSORB_BATCH as usize))
-        .collect();
-    let mut recs: Vec<slm_fabric::CaptureRecord> = Vec::with_capacity(ABSORB_BATCH as usize);
-    let fabric = {
-        let _span = shard_obs.span("cpa.shard");
-        let mut fabric = {
-            let _build_span = shard_obs.span("cpa.build");
-            MultiTenantFabric::new(&shard_config)?
-        };
-        // Chunked capture, same contract as the serial loop: chunks
-        // never cross a global checkpoint boundary, and batch
-        // absorption is bit-identical to per-trace absorption.
-        let mut t = 0u64;
-        while t < spec.traces {
-            let global = spec.start + t;
-            let boundary = (global / checkpoint_every + 1) * checkpoint_every - spec.start;
-            let stop = boundary.min(spec.traces).min(t + ABSORB_BATCH);
-            recs.clear();
-            {
-                let _capture_span = shard_obs.span("cpa.capture");
-                for _ in t..stop {
-                    let pt = fabric.random_plaintext();
-                    recs.push(fabric.encrypt_windowed(pt, setup.window.clone(), &setup.endpoints));
-                }
-            }
-            {
-                let _absorb_span = shard_obs.span("cpa.absorb");
-                absorb_batch(
-                    base.source,
-                    setup,
-                    &recs,
-                    &mut attacks,
-                    &mut staging,
-                    &mut point_buf,
-                    &shard_obs,
-                );
-            }
-            t = stop;
-            // A progress checkpoint is a *global* trace count; the
-            // shard holding it snapshots its local state there, and
-            // the caller's merge completes the prefix.
-            let global = spec.start + t;
-            if global % checkpoint_every == 0 || global == total {
-                snapshots.push((global, attacks.clone()));
-            }
-        }
-        fabric
+    // The streaming planner without a ledger: shards are its lanes,
+    // each shard its own commit group.
+    let lanes = StreamingCpa {
+        base: exp.base,
+        window_traces: exp.shard_traces,
+        commit_every_windows: 1,
+        workers: exp.workers,
+        early_stop: None,
+        config_tag: 0,
     };
-    record_fabric_telemetry(&fabric, &shard_obs);
-    Ok(ShardPartial {
-        snapshots,
-        attacks,
-        frame: shard_obs.snapshot(),
-    })
-}
-
-/// A campaign's pilot phase, shared by the sharded and streaming
-/// engines: either run up front, or — for [`pilot_independent`]
-/// sources — scheduled as task 0 of the capture pipeline, so it no
-/// longer serializes in front of the captures.
-pub(crate) struct PilotTask<'a> {
-    pub exp: &'a CpaExperiment,
-    pub config: &'a FabricConfig,
-    pub obs: &'a Obs,
-    /// The span wrapping the pilot.
-    pub span: &'static str,
-}
-
-impl PilotTask<'_> {
-    /// The setup captures run with, and the pilot's full setup if the
-    /// pilot had to run up front (recording straight into `obs`).
-    /// `None` means the captures start from the config-derived geometry
-    /// and [`PilotTask::run`] is still owed. Both arms make identical
-    /// capture decisions, so the result is the same either way.
-    pub(crate) fn capture_setup(
-        &self,
-    ) -> Result<(CampaignSetup, Option<CampaignSetup>), FabricError> {
-        if pilot_independent(self.exp.source) {
-            return Ok((geometry_setup(self.exp, self.config)?, None));
-        }
-        let (_pilot_fabric, setup) = {
-            let _pilot_span = self.obs.span(self.span);
-            pilot_setup(self.exp, self.config)?
-        };
-        Ok((setup.clone(), Some(setup)))
+    match run_planner(&lanes, tweak, None, obs) {
+        Ok(StreamOutcome::Complete(done)) => Ok(done.result),
+        Err(StreamingError::Fabric(e)) => Err(e),
+        _ => unreachable!("without a ledger the planner neither kills nor touches the store"),
     }
-
-    /// Runs the pilot on a fresh fabric, recording into a fork of
-    /// `obs`; the caller absorbs the frame before any capture frame,
-    /// matching the up-front pilot's recording order.
-    pub(crate) fn run(&self) -> PilotOutcome {
-        let pilot_obs = self.obs.fork();
-        let setup = {
-            let _pilot_span = pilot_obs.span(self.span);
-            pilot_setup(self.exp, self.config)
-        };
-        setup.map(|(_fabric, setup)| (setup, pilot_obs.snapshot()))
-    }
-}
-
-/// The pilot's outcome: its full setup and its private metrics frame.
-pub(crate) type PilotOutcome = Result<(CampaignSetup, MetricsFrame), FabricError>;
-
-/// A unit of work on a capture pipeline: the overlapped pilot or one
-/// capture (shard or window).
-pub(crate) enum Task<C> {
-    Pilot(Box<PilotOutcome>),
-    Capture(C),
-}
-
-fn run_cpa_parallel_inner(
-    exp: &ParallelCpa,
-    tweak: impl FnOnce(&mut FabricConfig),
-    obs: &Obs,
-) -> Result<CpaResult, FabricError> {
-    let base = &exp.base;
-    let mut config = FabricConfig {
-        benign: base.circuit,
-        seed: base.seed,
-        ..FabricConfig::default()
-    };
-    tweak(&mut config);
-
-    let plan = exp.plan();
-    let checkpoint_every = (base.traces / base.checkpoints.max(1) as u64).max(1);
-    let shards = plan.shards();
-
-    // The pilot is shared: one run on the base config decides endpoint
-    // selection and post-processing for every shard.
-    let pilot = PilotTask {
-        exp: base,
-        config: &config,
-        obs,
-        span: "cpa.pilot",
-    };
-    let (setup, mut full_setup) = pilot.capture_setup()?;
-    let lead = usize::from(full_setup.is_none());
-
-    // Fold shards in index order as they arrive. When shard i holds a
-    // checkpoint at global trace T, the campaign state at T is (all
-    // shards < i, fully absorbed) ⊕ (shard i's snapshot at T): a
-    // prefix-merge. Both operands depend only on the plan, so the
-    // progress curve is worker-count invariant.
-    let mut merged: Vec<CpaAttack> = (0..setup.single_bit_slots)
-        .map(|_| CpaAttack::new(setup.model, setup.points))
-        .collect();
-    let mut progress_per: Vec<Vec<ProgressPoint>> =
-        vec![Vec::with_capacity(base.checkpoints); setup.single_bit_slots];
-    let failed = slm_par::par_pipeline(
-        exp.workers,
-        lead + shards.len(),
-        usize::MAX,
-        |i| match i.checked_sub(lead) {
-            None => Task::Pilot(Box::new(pilot.run())),
-            Some(s) => Task::Capture(capture_shard(
-                base,
-                &setup,
-                &config,
-                &shards[s],
-                checkpoint_every,
-                plan.total,
-                obs,
-            )),
-        },
-        |_, task| {
-            let partial = match task {
-                Task::Pilot(outcome) => {
-                    return match *outcome {
-                        Ok((pilot_setup, frame)) => {
-                            obs.absorb(&frame);
-                            full_setup = Some(pilot_setup);
-                            ControlFlow::Continue(())
-                        }
-                        Err(e) => ControlFlow::Break(e),
-                    }
-                }
-                Task::Capture(Err(e)) => return ControlFlow::Break(e),
-                Task::Capture(Ok(partial)) => partial,
-            };
-            obs.absorb(&partial.frame);
-            for (global, snapshot) in &partial.snapshots {
-                let _eval_span = obs.span("cpa.eval");
-                for (slot, snap) in snapshot.iter().enumerate() {
-                    let mut at_checkpoint = merged[slot].clone();
-                    at_checkpoint.merge(snap);
-                    // Serial: the workers are still capturing.
-                    let peaks = at_checkpoint.peak_correlations().to_vec();
-                    if slot == 0 {
-                        obs.observe("cpa.checkpoint_margin", leader_margin(&peaks));
-                    }
-                    progress_per[slot].push(ProgressPoint {
-                        traces: *global,
-                        peak_corr: peaks,
-                    });
-                }
-            }
-            for (acc, part) in merged.iter_mut().zip(&partial.attacks) {
-                acc.merge_recorded(part, obs);
-            }
-            ControlFlow::Continue(())
-        },
-    );
-    if let Some(e) = failed {
-        return Err(e);
-    }
-
-    Ok(assemble_result(
-        base,
-        &full_setup.expect("the pilot ran"),
-        &merged,
-        progress_per,
-        exp.workers,
-        base.traces,
-    ))
 }
 
 #[cfg(test)]

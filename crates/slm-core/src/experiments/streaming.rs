@@ -1,23 +1,23 @@
-//! Crash-safe streaming CPA campaigns.
+//! Crash-safe streaming CPA campaigns, and the one campaign planner.
 //!
 //! Million-trace campaigns (the cloud-FPGA case study's 10⁵–10⁷-trace
 //! defended runs) cannot hold their raw traces in memory and cannot
 //! afford to lose hours of capture to a process death. The streaming
-//! engine runs the budget as bounded-memory *windows*: capture a
-//! window on its own re-seeded fabric ([`FabricConfig::for_shard`],
-//! exactly the parallel runner's shard lanes), fold it into the
-//! mergeable accumulators, drop the raw traces. Every
-//! `commit_every_windows` windows the engine seals the accumulator
-//! state — plus the progress curves and a campaign-parameter
-//! fingerprint — into a [`StreamCheckpoint`] and commits it to an
-//! atomic generation ledger ([`CheckpointLedger`]: write-to-temp,
-//! checksum, rename).
+//! engine runs the budget as bounded-memory *windows*: capture a window
+//! on its own re-seeded fabric ([`FabricConfig::for_shard`]) through the
+//! campaign kernel, fold it into the mergeable accumulators, drop the
+//! raw traces. Every `commit_every_windows` windows the engine seals the
+//! accumulator state — plus the progress curves and a campaign-parameter
+//! fingerprint — into a [`StreamCheckpoint`] and commits it to an atomic
+//! generation ledger ([`CheckpointLedger`]: write-to-temp, checksum,
+//! rename).
 //!
-//! Capture runs ahead of the commit cursor: each round captures at
-//! least one window per worker, rounded up to whole commit groups, on
-//! the worker pool, then folds, evaluates and commits its groups
-//! strictly in window order. For sources that need no pilot statistics
-//! the pilot runs beside the first round instead of in front of it.
+//! Capture runs ahead of the commit cursor on the worker pool, and the
+//! planner folds, evaluates and commits strictly in window order. For
+//! sources that need no pilot statistics the pilot runs beside the
+//! first captures instead of in front of them. The sharded in-memory
+//! campaign ([`run_cpa_parallel`](super::parallel::run_cpa_parallel)) is
+//! the same planner without a ledger.
 //!
 //! # Exact-once window accounting
 //!
@@ -44,16 +44,16 @@
 //! run, at any worker count.
 
 use super::cpa::{
-    absorb_batch, assemble_result, record_fabric_telemetry, CampaignSetup, CpaExperiment,
-    CpaResult, ABSORB_BATCH,
+    assemble_result, best_slot, capture_lane, pilot_independent, pilot_setup, push_progress,
+    record_fabric_telemetry, CampaignSetup, CpaExperiment, CpaResult, Lane, Names, ABSORB_BATCH,
+    CPA, STREAM,
 };
-use super::parallel::{PilotTask, Task};
 use serde::{Deserialize, Serialize};
 use slm_cpa::store::{
     read_stream_checkpoint, write_stream_checkpoint, CheckpointLedger, StreamCheckpoint,
 };
-use slm_cpa::{leader_margin, CpaAttack, ProgressPoint, TraceBatch};
-use slm_fabric::{CaptureRecord, FabricConfig, FabricError, MultiTenantFabric};
+use slm_cpa::{leader_margin, CpaAttack, ProgressPoint};
+use slm_fabric::{FabricConfig, FabricError, MultiTenantFabric};
 use slm_obs::{MetricsFrame, Obs};
 use slm_par::{ShardPlan, ShardSpec};
 use std::ops::ControlFlow;
@@ -191,16 +191,11 @@ impl EarlyStop {
     /// the best final leader margin decides, matching the slot
     /// selection in [`assemble_result`]).
     fn satisfied(&self, progress_per: &[Vec<ProgressPoint>]) -> bool {
-        let slot = progress_per
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| {
-                let ma = a.last().map_or(0.0, |p| leader_margin(&p.peak_corr));
-                let mb = b.last().map_or(0.0, |p| leader_margin(&p.peak_corr));
-                ma.partial_cmp(&mb).expect("margins are finite")
-            })
-            .map_or(0, |(i, _)| i);
-        let curve = &progress_per[slot];
+        let curve = &progress_per[best_slot(
+            progress_per
+                .iter()
+                .map(|c| c.last().map_or(0.0, |p| leader_margin(&p.peak_corr))),
+        )];
         let Some(last) = curve.last() else {
             return false;
         };
@@ -393,9 +388,9 @@ pub fn run_streaming_recorded(
 
 /// [`run_streaming`] with a fabric-configuration hook applied before
 /// the pilot and before window re-seeding — the streaming analogue of
-/// `run_cpa_parallel_with`. Callers that tweak the config must set
-/// [`StreamingCpa::config_tag`] so checkpoints from differently-tweaked
-/// campaigns are refused.
+/// [`run_cpa_with`](super::extensions::run_cpa_with). Callers that
+/// tweak the config must set [`StreamingCpa::config_tag`] so
+/// checkpoints from differently-tweaked campaigns are refused.
 ///
 /// # Errors
 ///
@@ -425,72 +420,54 @@ pub fn run_streaming_with_recorded(
     }
 }
 
-/// One captured-and-folded window, travelling from a worker back to
-/// the fold loop with its private metrics frame.
-struct WindowPartial {
+/// A unit of work on the capture pipeline: the overlapped pilot or one
+/// lane.
+enum Task {
+    Pilot(Box<Result<(CampaignSetup, MetricsFrame), FabricError>>),
+    Lane(Result<LanePartial, FabricError>),
+}
+
+/// One captured lane, travelling from a worker back to the fold: its
+/// accumulators, their snapshots at the checkpoints inside the lane,
+/// the raw traces it held at once, and its private metrics frame.
+struct LanePartial {
+    snapshots: Vec<(u64, Vec<CpaAttack>)>,
     attacks: Vec<CpaAttack>,
     retained: u64,
     frame: MetricsFrame,
 }
 
-/// Captures one window on its own fabric, re-seeded from its lane, and
-/// folds it into fresh per-window accumulators. The raw records are
-/// buffered for the whole window (the retention `peak_raw_traces`
-/// reports) and absorbed in `ABSORB_BATCH` chunks through the batched
-/// path, bit-identical to per-record absorption; they are dropped
-/// before the partial is returned. Records into a private fork of
-/// `obs`, whose frame travels with the partial.
-fn capture_window(
-    base: &CpaExperiment,
+/// Captures one lane (a shard or a window) on its own fabric, re-seeded
+/// from lane `index` ([`FabricConfig::for_shard`]), through the campaign
+/// kernel. Records into a private fork of `obs`, whose frame travels
+/// with the partial and is folded in lane order.
+fn run_lane(
     setup: &CampaignSetup,
     config: &FabricConfig,
-    spec: &ShardSpec,
+    index: usize,
+    lane: &Lane,
+    names: &Names,
     obs: &Obs,
-) -> Result<WindowPartial, FabricError> {
-    let w_obs = obs.fork();
-    let w_config = config.for_shard(spec.index);
-    let mut attacks: Vec<CpaAttack> = (0..setup.single_bit_slots)
-        .map(|_| CpaAttack::new(setup.model, setup.points))
-        .collect();
-    let (fabric, retained) = {
-        let _span = w_obs.span("stream.window");
+) -> Result<LanePartial, FabricError> {
+    let lane_obs = obs.fork();
+    let mut snapshots = Vec::new();
+    let (fabric, (attacks, retained)) = {
+        let _span = lane_obs.span(names.lane);
         let mut fabric = {
-            let _build_span = w_obs.span("stream.build");
-            MultiTenantFabric::new(&w_config)?
+            let _build_span = lane_obs.span(names.build);
+            MultiTenantFabric::new(&config.for_shard(index))?
         };
-        let mut raw: Vec<CaptureRecord> = Vec::with_capacity(spec.traces as usize);
-        {
-            let _capture_span = w_obs.span("stream.capture");
-            for _ in 0..spec.traces {
-                let pt = fabric.random_plaintext();
-                raw.push(fabric.encrypt_windowed(pt, setup.window.clone(), &setup.endpoints));
-            }
-        }
-        {
-            let _absorb_span = w_obs.span("stream.absorb");
-            let mut point_buf = vec![0.0f64; setup.points];
-            let mut staging: Vec<TraceBatch> = (0..setup.single_bit_slots)
-                .map(|_| TraceBatch::with_capacity(setup.points, ABSORB_BATCH as usize))
-                .collect();
-            for chunk in raw.chunks(ABSORB_BATCH as usize) {
-                absorb_batch(
-                    base.source,
-                    setup,
-                    chunk,
-                    &mut attacks,
-                    &mut staging,
-                    &mut point_buf,
-                    &w_obs,
-                );
-            }
-        }
-        (fabric, raw.len() as u64)
+        let state = capture_lane(setup, &mut fabric, lane, names, &lane_obs, |t, at| {
+            snapshots.push((t, at.to_vec()))
+        });
+        (fabric, state)
     };
-    record_fabric_telemetry(&fabric, &w_obs);
-    Ok(WindowPartial {
+    record_fabric_telemetry(&fabric, &lane_obs);
+    Ok(LanePartial {
+        snapshots,
         attacks,
         retained,
-        frame: w_obs.snapshot(),
+        frame: lane_obs.snapshot(),
     })
 }
 
@@ -520,136 +497,111 @@ pub fn run_streaming_crashing(
     obs: &Obs,
     crash: &mut CrashPlan,
 ) -> Result<StreamOutcome, StreamingError> {
+    run_planner(exp, tweak, Some((dir.as_ref(), crash)), obs)
+}
+
+/// The one campaign planner. Splits the budget into lanes
+/// ([`StreamingCpa::plan`]), captures them on the worker pool through
+/// [`run_lane`], and folds the partials strictly in lane order, so
+/// results and merged metrics are worker-count invariant.
+///
+/// With a ledger `sink` this is the streaming engine: `stream.*` names,
+/// whole-window lanes, resume, a progress point and a sealed commit per
+/// commit group, [`CrashPlan`] kills, early stop and bounded look-ahead.
+/// Without one it is the sharded in-memory campaign
+/// ([`run_cpa_parallel`](super::parallel::run_cpa_parallel)): `cpa.*`
+/// names, one-lane commit groups, unbounded look-ahead, and progress
+/// points on the `checkpoints` trace grid. A checkpoint inside a lane
+/// is evaluated on the prefix merge of the earlier lanes and the lane's
+/// snapshot; one at a lane's end on the merged state after the fold.
+pub(crate) fn run_planner(
+    exp: &StreamingCpa,
+    tweak: impl FnOnce(&mut FabricConfig),
+    sink: Option<(&Path, &mut CrashPlan)>,
+    obs: &Obs,
+) -> Result<StreamOutcome, StreamingError> {
     let started = std::time::Instant::now();
     let base = &exp.base;
-    let commit_every = exp.commit_every_windows.max(1);
-    let mut config = FabricConfig {
-        benign: base.circuit,
-        seed: base.seed,
-        ..FabricConfig::default()
+    let streaming = sink.is_some();
+    let (names, checkpoint_every) = if streaming {
+        (&STREAM, u64::MAX)
+    } else {
+        (&CPA, base.checkpoint_every())
     };
-    tweak(&mut config);
+    let commit_every = exp.commit_every_windows.max(1);
+    let fingerprint = exp.fingerprint();
+    let config = base.fabric_config(tweak);
     // The pilot is not streamed: it is cheap, deterministic, and reruns
     // identically on every resume, so its decisions never need to be
-    // persisted. For sources that need no pilot statistics it runs as
-    // task 0 of the window pipeline (`full_setup` stays `None` until it
-    // has); otherwise it runs up front.
-    let pilot = PilotTask {
-        exp: base,
-        config: &config,
-        obs,
-        span: "stream.pilot",
+    // persisted. Sources that need no pilot statistics start capturing
+    // from a zero-trace pilot's setup (geometry, model, ground truth)
+    // and run the real pilot as task 0 of the lane pipeline
+    // (`full_setup` stays `None` until it has), into a fork of `obs`
+    // absorbed before any lane frame; the others run it up front. Both
+    // arms make identical capture decisions.
+    let run_pilot = || {
+        let pilot_obs = obs.fork();
+        let setup = {
+            let _pilot_span = pilot_obs.span(names.pilot);
+            pilot_setup(base, &config)
+        };
+        setup.map(|(_fabric, setup)| (setup, pilot_obs.snapshot()))
     };
-    let (setup, mut full_setup) = pilot.capture_setup()?;
+    let (setup, mut full_setup) = if pilot_independent(base.source) {
+        let no_pilot = CpaExperiment {
+            pilot_traces: 0,
+            ..*base
+        };
+        (pilot_setup(&no_pilot, &config)?.1, None)
+    } else {
+        let _pilot_span = obs.span(names.pilot);
+        let (_fabric, setup) = pilot_setup(base, &config)?;
+        (setup.clone(), Some(setup))
+    };
 
-    let fingerprint = exp.fingerprint();
     let plan = exp.plan();
     let windows = plan.shards();
     let total_windows = windows.len() as u64;
-    let ledger = CheckpointLedger::open(dir.as_ref())?;
-    // ---- resume ---------------------------------------------------------
-    let mut merged: Vec<CpaAttack> = (0..setup.single_bit_slots)
-        .map(|_| CpaAttack::new(setup.model, setup.points))
-        .collect();
+    let mut merged = setup.attacks();
     let mut progress_per: Vec<Vec<ProgressPoint>> = vec![Vec::new(); setup.single_bit_slots];
     let mut windows_done = 0u64;
     let mut traces_done = 0u64;
     let mut resumed_generation = None;
     let mut recovered_generations = 0u64;
-    if let Some(recovery) = ledger.load_latest(|bytes| read_stream_checkpoint(bytes))? {
-        let cp = recovery.state;
-        let incompatible = |why: String| Err(StreamingError::Incompatible(why));
-        if cp.fingerprint != fingerprint {
-            return incompatible(format!(
-                "checkpoint fingerprint {:#018x} != campaign fingerprint {:#018x} \
-                 (different circuit/source/seed/window/commit/tag)",
-                cp.fingerprint, fingerprint
-            ));
-        }
-        if cp.slots.len() != setup.single_bit_slots {
-            return incompatible(format!(
-                "checkpoint has {} accumulator slots, pilot derived {}",
-                cp.slots.len(),
-                setup.single_bit_slots
-            ));
-        }
-        for (i, slot) in cp.slots.iter().enumerate() {
-            if slot.points != setup.points
-                || slot.model.ct_byte != setup.model.ct_byte
-                || slot.model.bit != setup.model.bit
-            {
-                return incompatible(format!(
-                    "slot {i} geometry ({} points, ct_byte {}, bit {}) does not match \
-                     the pilot ({} points, ct_byte {}, bit {})",
-                    slot.points,
-                    slot.model.ct_byte,
-                    slot.model.bit,
-                    setup.points,
-                    setup.model.ct_byte,
-                    setup.model.bit
-                ));
+    let mut no_crash = CrashPlan::none();
+    let (ledger, crash) = match sink {
+        None => (None, &mut no_crash),
+        Some((dir, crash)) => {
+            let ledger = CheckpointLedger::open(dir)?;
+            // ---- resume -------------------------------------------------
+            if let Some(recovery) = ledger.load_latest(|bytes| read_stream_checkpoint(bytes))? {
+                let cp = recovery.state;
+                check_resumable(exp, &cp, &setup, &windows)?;
+                windows_done = cp.windows;
+                traces_done = cp.traces;
+                progress_per = cp.progress;
+                merged = cp
+                    .slots
+                    .into_iter()
+                    .map(CpaAttack::resume)
+                    .collect::<std::io::Result<_>>()?;
+                resumed_generation = Some(recovery.generation);
+                recovered_generations = recovery.skipped.len() as u64;
+                obs.incr("stream.resumes");
+                obs.add("stream.recovered_generations", recovered_generations);
             }
+            (Some(ledger), crash)
         }
-        // Exact-once accounting: the committed windows must be a prefix
-        // of the current plan, trace for trace. (A budget extension
-        // keeps the prefix intact only if the old budget was a whole
-        // number of windows — otherwise the old final partial window
-        // would silently change its capture stream, which this check
-        // refuses.)
-        if cp.windows as usize > windows.len() {
-            return incompatible(format!(
-                "checkpoint committed {} windows but this budget only has {}",
-                cp.windows,
-                windows.len()
-            ));
-        }
-        let prefix: u64 = windows[..cp.windows as usize]
-            .iter()
-            .map(|w| w.traces)
-            .sum();
-        if prefix != cp.traces {
-            return incompatible(format!(
-                "checkpoint claims {} traces over {} windows; this plan's prefix \
-                 holds {prefix} — window layouts differ",
-                cp.traces, cp.windows
-            ));
-        }
-        // The committed windows must also sit on this plan's commit
-        // grid: the old run's final (budget-truncated) commit group is
-        // only a valid resume point if no further windows follow it —
-        // otherwise the extended run would emit a progress point a
-        // from-scratch run of the same budget would not, breaking
-        // bit-identical equivalence.
-        if cp.windows % commit_every != 0 && (cp.windows as usize) < windows.len() {
-            return incompatible(format!(
-                "checkpoint's {} committed windows are not a multiple of the \
-                 commit cadence ({commit_every}); extend the budget in whole \
-                 commit groups",
-                cp.windows
-            ));
-        }
-        windows_done = cp.windows;
-        traces_done = cp.traces;
-        progress_per = cp.progress;
-        merged = cp
-            .slots
-            .into_iter()
-            .map(CpaAttack::resume)
-            .collect::<std::io::Result<_>>()?;
-        resumed_generation = Some(recovery.generation);
-        recovered_generations = recovery.skipped.len() as u64;
-        obs.incr("stream.resumes");
-        obs.add("stream.recovered_generations", recovered_generations);
-    }
+    };
 
-    // ---- windowed main phase -------------------------------------------
-    // Workers capture windows ahead of the commit cursor while this
-    // thread folds, evaluates and commits each commit group strictly in
-    // window order as soon as the group's windows are in. The look-ahead
+    // ---- lane pipeline --------------------------------------------------
+    // Workers capture lanes ahead of the commit cursor while this thread
+    // folds, evaluates and commits each commit group strictly in lane
+    // order as soon as the group's lanes are in. A streaming look-ahead
     // spans `LOOKAHEAD_ROUNDS` rounds of at least one window per worker,
-    // rounded up to whole commit groups. Windows captured ahead of a
-    // kill or an early stop are dropped unfolded, metrics frames
-    // included, so results and merged metrics stay worker-invariant.
+    // rounded up to whole commit groups. Lanes captured ahead of a kill
+    // or an early stop are dropped unfolded, metrics frames included, so
+    // results and merged metrics stay worker-invariant.
     let workers = slm_par::resolve_workers(exp.workers) as u64;
     let round = workers.div_ceil(commit_every) * commit_every;
     let mut peak_raw = 0u64;
@@ -663,11 +615,25 @@ pub fn run_streaming_crashing(
         &windows[windows_done as usize..]
     };
     let lead = usize::from(full_setup.is_none() && !pending.is_empty());
-    let mut group: Vec<WindowPartial> = Vec::with_capacity(commit_every as usize);
-    // Folds one captured window; once its commit group is complete,
-    // folds, evaluates and commits the group. `Some` ends the run
-    // (kill or early stop).
-    let mut absorb_window = |partial: WindowPartial| -> Result<Option<Halt>, StreamingError> {
+    let lookahead = if streaming {
+        (LOOKAHEAD_ROUNDS * round) as usize + lead
+    } else {
+        usize::MAX
+    };
+    let capture = |spec: &ShardSpec| {
+        let lane = Lane {
+            start: spec.start,
+            traces: spec.traces,
+            chunk: if streaming { spec.traces } else { ABSORB_BATCH },
+            checkpoint_every,
+        };
+        run_lane(&setup, &config, spec.index, &lane, names, obs)
+    };
+    let mut group: Vec<LanePartial> = Vec::with_capacity(commit_every as usize);
+    // Takes one captured lane; once its commit group is complete, folds,
+    // evaluates and commits the group. `Some` ends the run (kill or
+    // early stop).
+    let mut absorb_lane = |partial: LanePartial| -> Result<Option<Halt>, StreamingError> {
         group.push(partial);
         let group_index = windows_done / commit_every;
         let group_end = ((group_index + 1) * commit_every).min(total_windows);
@@ -682,12 +648,18 @@ pub fn run_streaming_crashing(
             return Ok(Some(committed));
         }
 
-        // Fold in window order — the same prefix-merge discipline as
-        // the parallel runner, so results and merged metrics are
-        // worker-count invariant.
         for (partial, spec) in group.drain(..).zip(&windows[windows_done as usize..]) {
             obs.absorb(&partial.frame);
             peak_raw = peak_raw.max(partial.retained);
+            // Prefix merge: the campaign state at a checkpoint inside
+            // the lane is every earlier lane plus the lane's snapshot.
+            for (global, snapshot) in &partial.snapshots {
+                let mut at = merged.clone();
+                for (acc, snap) in at.iter_mut().zip(snapshot) {
+                    acc.merge(snap);
+                }
+                push_progress(&mut progress_per, *global, &at, names, obs);
+            }
             for (acc, part) in merged.iter_mut().zip(&partial.attacks) {
                 acc.merge_recorded(part, obs);
             }
@@ -699,19 +671,15 @@ pub fn run_streaming_crashing(
         if crash.should_kill(group_index, CrashSite::AfterFold) {
             return Ok(Some(committed));
         }
-
-        // Checkpoint: progress point per slot, early-stop evaluation,
-        // sealed commit to the generation ledger.
-        for (slot, acc) in merged.iter().enumerate() {
-            let peaks = acc.peak_correlations().to_vec();
-            if slot == 0 {
-                obs.observe("stream.checkpoint_margin", leader_margin(&peaks));
-            }
-            progress_per[slot].push(ProgressPoint {
-                traces: traces_done,
-                peak_corr: peaks,
-            });
+        if streaming || traces_done % checkpoint_every == 0 || traces_done == plan.total {
+            push_progress(&mut progress_per, traces_done, &merged, names, obs);
         }
+        let Some(ledger) = &ledger else {
+            return Ok(None);
+        };
+
+        // Commit: early-stop evaluation, sealed commit to the
+        // generation ledger.
         early_stopped = exp
             .early_stop
             .is_some_and(|rule| rule.satisfied(&progress_per));
@@ -743,10 +711,10 @@ pub fn run_streaming_crashing(
     let halt = slm_par::par_pipeline(
         exp.workers,
         lead + pending.len(),
-        (LOOKAHEAD_ROUNDS * round) as usize + lead,
+        lookahead,
         |i| match i.checked_sub(lead) {
-            None => Task::Pilot(Box::new(pilot.run())),
-            Some(w) => Task::Capture(capture_window(base, &setup, &config, &pending[w], obs)),
+            None => Task::Pilot(Box::new(run_pilot())),
+            Some(w) => Task::Lane(capture(&pending[w])),
         },
         |_, task| {
             let step = match task {
@@ -754,16 +722,16 @@ pub fn run_streaming_crashing(
                     (*outcome)
                         .map_err(StreamingError::from)
                         .map(|(setup, frame)| {
-                            // The pilot's frame folds before any window
-                            // frame, matching the serial-pilot order.
+                            // The pilot's frame folds before any lane
+                            // frame, matching the up-front pilot's order.
                             obs.absorb(&frame);
                             full_setup = Some(setup);
                             None
                         })
                 }
-                Task::Capture(partial) => partial
+                Task::Lane(partial) => partial
                     .map_err(StreamingError::from)
-                    .and_then(&mut absorb_window),
+                    .and_then(&mut absorb_lane),
             };
             match step {
                 Ok(None) => ControlFlow::Continue(()),
@@ -781,30 +749,23 @@ pub fn run_streaming_crashing(
     let full_setup = match full_setup {
         Some(setup) => setup,
         None => {
-            let (setup, frame) = pilot.run()?;
+            let (setup, frame) = run_pilot()?;
             obs.absorb(&frame);
             setup
         }
     };
-    if early_stopped {
-        obs.incr("stream.early_stop");
-    }
-    obs.gauge("stream.peak_raw_traces", peak_raw as f64);
-    if obs.enabled() {
+    if streaming {
+        if early_stopped {
+            obs.incr("stream.early_stop");
+        }
+        obs.gauge("stream.peak_raw_traces", peak_raw as f64);
         let secs = started.elapsed().as_secs_f64();
-        if secs > 0.0 && captured_this_run > 0 {
+        if obs.enabled() && secs > 0.0 && captured_this_run > 0 {
             obs.gauge("stream.traces_per_sec", captured_this_run as f64 / secs);
         }
     }
 
-    let result = assemble_result(
-        base,
-        &full_setup,
-        &merged,
-        progress_per,
-        exp.workers,
-        traces_done,
-    );
+    let result = assemble_result(&full_setup, &merged, progress_per, exp.workers, traces_done);
     Ok(StreamOutcome::Complete(StreamingResult {
         result,
         windows: windows_done,
@@ -814,6 +775,87 @@ pub fn run_streaming_crashing(
         recovered_generations,
         peak_raw_traces: peak_raw,
     }))
+}
+
+/// Refuses a resume checkpoint that belongs to a different campaign:
+/// another fingerprint, slot geometry, or window accounting.
+fn check_resumable(
+    exp: &StreamingCpa,
+    cp: &StreamCheckpoint,
+    setup: &CampaignSetup,
+    windows: &[ShardSpec],
+) -> Result<(), StreamingError> {
+    let incompatible = |why: String| Err(StreamingError::Incompatible(why));
+    let fingerprint = exp.fingerprint();
+    if cp.fingerprint != fingerprint {
+        return incompatible(format!(
+            "checkpoint fingerprint {:#018x} != campaign fingerprint {:#018x} \
+             (different circuit/source/seed/window/commit/tag)",
+            cp.fingerprint, fingerprint
+        ));
+    }
+    if cp.slots.len() != setup.single_bit_slots {
+        return incompatible(format!(
+            "checkpoint has {} accumulator slots, pilot derived {}",
+            cp.slots.len(),
+            setup.single_bit_slots
+        ));
+    }
+    for (i, slot) in cp.slots.iter().enumerate() {
+        if slot.points != setup.points
+            || slot.model.ct_byte != setup.model.ct_byte
+            || slot.model.bit != setup.model.bit
+        {
+            return incompatible(format!(
+                "slot {i} geometry ({} points, ct_byte {}, bit {}) does not match \
+                 the pilot ({} points, ct_byte {}, bit {})",
+                slot.points,
+                slot.model.ct_byte,
+                slot.model.bit,
+                setup.points,
+                setup.model.ct_byte,
+                setup.model.bit
+            ));
+        }
+    }
+    // Exact-once accounting: the committed windows must be a prefix of
+    // the current plan, trace for trace. (A budget extension keeps the
+    // prefix intact only if the old budget was a whole number of
+    // windows — otherwise the old final partial window would silently
+    // change its capture stream, which this check refuses.)
+    if cp.windows as usize > windows.len() {
+        return incompatible(format!(
+            "checkpoint committed {} windows but this budget only has {}",
+            cp.windows,
+            windows.len()
+        ));
+    }
+    let prefix: u64 = windows[..cp.windows as usize]
+        .iter()
+        .map(|w| w.traces)
+        .sum();
+    if prefix != cp.traces {
+        return incompatible(format!(
+            "checkpoint claims {} traces over {} windows; this plan's prefix \
+             holds {prefix} — window layouts differ",
+            cp.traces, cp.windows
+        ));
+    }
+    // The committed windows must also sit on this plan's commit grid:
+    // the old run's final (budget-truncated) commit group is only a
+    // valid resume point if no further windows follow it — otherwise
+    // the extended run would emit a progress point a from-scratch run
+    // of the same budget would not, breaking bit-identical equivalence.
+    let commit_every = exp.commit_every_windows.max(1);
+    if cp.windows % commit_every != 0 && (cp.windows as usize) < windows.len() {
+        return incompatible(format!(
+            "checkpoint's {} committed windows are not a multiple of the \
+             commit cadence ({commit_every}); extend the budget in whole \
+             commit groups",
+            cp.windows
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

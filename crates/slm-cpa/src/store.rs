@@ -696,11 +696,25 @@ pub fn read_stream_checkpoint<R: Read>(mut source: R) -> io::Result<StreamCheckp
             let cands = usize::from(u16::from_le_bytes(
                 take(&mut off, 2, section)?.try_into().unwrap(),
             ));
+            let raw_off = off;
             let raw = take(&mut off, cands * 8, section)?;
-            let peak_corr = raw
+            let peak_corr: Vec<f64> = raw
                 .chunks_exact(8)
                 .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
                 .collect();
+            // The seal only proves the bytes are the ones written;
+            // resume code orders peaks and must never meet a NaN.
+            if let Some(k) = peak_corr.iter().position(|p| !p.is_finite()) {
+                return Err(section_err(
+                    section,
+                    raw_off + k * 8,
+                    format!(
+                        "slot {slot} point at {point_traces} traces: candidate {k} \
+                         peak is {}, not finite",
+                        peak_corr[k]
+                    ),
+                ));
+            }
             curve.push(ProgressPoint {
                 traces: point_traces,
                 peak_corr,
@@ -1148,6 +1162,26 @@ mod tests {
         write_stream_checkpoint(&mut bytes, &cp).unwrap();
         let err = read_stream_checkpoint(&bytes[..]).unwrap_err().to_string();
         assert!(err.contains("accumulators") && err.contains("299"), "{err}");
+    }
+
+    #[test]
+    fn stream_checkpoint_rejects_non_finite_peaks() {
+        // A sealed file can still carry a NaN or infinite peak (written
+        // by a buggy or foreign producer); resume code compares peaks
+        // and must never see one.
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut cp = sample_stream_checkpoint(2);
+            cp.progress[0][1].peak_corr[7] = bad;
+            let mut bytes = Vec::new();
+            write_stream_checkpoint(&mut bytes, &cp).unwrap();
+            let err = read_stream_checkpoint(&bytes[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(
+                msg.contains("`progress`") && msg.contains("finite"),
+                "{msg}"
+            );
+        }
     }
 
     proptest! {

@@ -10,6 +10,7 @@ use slm_core::experiments::{
     run_streaming, run_streaming_crashing, run_streaming_recorded, CpaExperiment, CpaResult,
     CrashPlan, CrashSite, EarlyStop, SensorSource, StreamOutcome, StreamingCpa, StreamingError,
 };
+use slm_cpa::store::{read_stream_checkpoint, write_stream_checkpoint, CheckpointLedger};
 use slm_fabric::BenignCircuit;
 use slm_obs::Obs;
 use std::path::PathBuf;
@@ -151,6 +152,42 @@ fn bit_flip_in_newest_generation_falls_back_gracefully() {
     assert_eq!(&resumed.result, reference());
     assert_eq!(resumed.recovered_generations, 1);
     assert_eq!(obs.snapshot().counter("stream.recovered_generations"), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sealed_checkpoint_with_nan_peak_falls_back_to_previous_generation() {
+    let dir = scratch_dir("nan-peak");
+    let exp = campaign();
+    // Die right after the second commit, leaving generations 1 and 2.
+    let mut plan = CrashPlan::none().kill_at(1, CrashSite::AfterCommit);
+    let killed = run_streaming_crashing(&exp, &dir, |_| {}, &Obs::null(), &mut plan).unwrap();
+    assert!(matches!(killed, StreamOutcome::Killed { .. }));
+    // A correctly sealed generation 3 whose first progress point holds
+    // a NaN peak: the seal cannot catch it, the reader must.
+    let ledger = CheckpointLedger::open(&dir).unwrap();
+    let mut cp = ledger
+        .load_latest(|bytes| read_stream_checkpoint(bytes))
+        .unwrap()
+        .expect("two generations committed")
+        .state;
+    cp.progress[0][0].peak_corr[3] = f64::NAN;
+    let mut bytes = Vec::new();
+    write_stream_checkpoint(&mut bytes, &cp).unwrap();
+    assert_eq!(ledger.commit(&bytes).unwrap(), 3);
+    // The early-stop rule compares every resumed progress point; it
+    // never fires here (margins stay below 2), so the result must be
+    // the uninterrupted one, resumed from generation 2.
+    let rule = EarlyStop {
+        min_traces: 0,
+        stable_commits: 2,
+        min_margin: 2.0,
+    };
+    let resumed = run_streaming(&exp.with_early_stop(rule), &dir).unwrap();
+    assert_eq!(resumed.resumed_generation, Some(2));
+    assert_eq!(resumed.recovered_generations, 1);
+    assert!(!resumed.early_stopped);
+    assert_eq!(&resumed.result, reference());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
