@@ -22,9 +22,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
-use slm_core::experiments::{
-    run_cpa_parallel, run_cpa_parallel_recorded, CpaExperiment, ParallelCpa, SensorSource,
-};
+use slm_core::experiments::{run_cpa_parallel, CpaExperiment, ParallelCpa, SensorSource};
 use slm_fabric::BenignCircuit;
 use slm_obs::Obs;
 use std::hint::black_box;
@@ -129,7 +127,7 @@ fn campaign_scaling(c: &mut Criterion) {
             let exp = experiment(workers);
             let obs = Obs::memory();
             let start = std::time::Instant::now();
-            let r = run_cpa_parallel_recorded(&exp, &obs).expect("fabric builds");
+            let r = exp.run(|_| {}, &obs).expect("fabric builds");
             let seconds = start.elapsed().as_secs_f64();
             let traces_per_sec = exp.base.traces as f64 / seconds;
             if workers == 1 {

@@ -10,9 +10,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 use slm_core::experiments::{
-    defense_matrix, run_cpa_with, CpaExperiment, DefenseArm, DefenseMatrixExperiment, SensorSource,
+    run_cpa_with, CpaExperiment, DefenseArm, DefenseMatrixExperiment, SensorSource,
 };
 use slm_fabric::{BenignCircuit, DetectorConfig};
+use slm_obs::Obs;
 use std::hint::black_box;
 use std::sync::OnceLock;
 
@@ -123,7 +124,7 @@ fn defense_overhead(c: &mut Criterion) {
             detector_samples: if quick() { 4200 } else { 8200 },
             workers: 0,
         };
-        let matrix = defense_matrix(&matrix_exp).expect("fabric builds");
+        let matrix = matrix_exp.run(&Obs::null()).expect("fabric builds");
         let monotonic = matrix.fence_mtd_monotonic();
         assert!(monotonic, "fence sweep must not improve the attack");
         assert!(

@@ -11,11 +11,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
-use slm_core::experiments::{
-    fault_matrix, run_fault_campaign, DefenseArm, FaultCampaign, FaultMatrixExperiment,
-};
+use slm_core::experiments::{run_fault_campaign, DefenseArm, FaultCampaign, FaultMatrixExperiment};
 use slm_cpa::DfaModel;
 use slm_fabric::{AggressorSpec, BenignCircuit, FabricConfig};
+use slm_obs::Obs;
 use std::hint::black_box;
 use std::sync::OnceLock;
 
@@ -80,7 +79,7 @@ fn fault_matrix_once(c: &mut Criterion) {
             ..FaultMatrixExperiment::standard(11)
         };
         let start = std::time::Instant::now();
-        let matrix = fault_matrix(&exp).expect("fabric builds");
+        let matrix = exp.run(&Obs::null()).expect("fabric builds");
         let seconds = start.elapsed().as_secs_f64();
         let total_captures = exp.captures * matrix.cells.len() as u64;
 

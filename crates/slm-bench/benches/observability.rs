@@ -15,9 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
-use slm_core::experiments::{
-    run_cpa_parallel, run_cpa_parallel_recorded, CpaExperiment, ParallelCpa, SensorSource,
-};
+use slm_core::experiments::{run_cpa_parallel, CpaExperiment, ParallelCpa, SensorSource};
 use slm_fabric::BenignCircuit;
 use slm_obs::Obs;
 use std::hint::black_box;
@@ -99,7 +97,7 @@ fn observability_overhead(c: &mut Criterion) {
 
             let obs = Obs::memory();
             let start = std::time::Instant::now();
-            let recorded = run_cpa_parallel_recorded(&exp, &obs).expect("fabric builds");
+            let recorded = exp.run(|_| {}, &obs).expect("fabric builds");
             t_enabled = t_enabled.min(start.elapsed().as_secs_f64());
 
             deterministic &= plain == recorded;

@@ -20,9 +20,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 use slm_core::experiments::{
-    run_cpa_parallel, run_streaming, run_streaming_crashing, run_streaming_with_recorded,
-    CpaExperiment, CrashPlan, CrashSite, DefenseArm, EarlyStop, ParallelCpa, SensorSource,
-    StreamOutcome, StreamingCpa,
+    run_cpa_parallel, run_streaming_with, CpaExperiment, CrashPlan, CrashSite, DefenseArm,
+    EarlyStop, ParallelCpa, SensorSource, StreamOutcome, StreamingCpa,
 };
 use slm_fabric::{BenignCircuit, DetectorConfig};
 use slm_obs::Obs;
@@ -110,7 +109,7 @@ fn crash_smoke() -> CrashSmoke {
         .with_window(window)
         .with_commit_every(1);
     let clean_dir = scratch_dir("smoke-clean");
-    let clean = run_streaming(&exp, &clean_dir).expect("fabric builds");
+    let clean = run_streaming_with(&exp, &clean_dir, |_| {}).expect("fabric builds");
 
     let dir = scratch_dir("smoke-killed");
     let mut plan = CrashPlan::none()
@@ -118,7 +117,8 @@ fn crash_smoke() -> CrashSmoke {
         .kill_at(5, CrashSite::TornCommit);
     let mut kills = 0u64;
     let resumed = loop {
-        match run_streaming_crashing(&exp, &dir, |_| {}, &Obs::null(), &mut plan)
+        match exp
+            .run(&dir, |_| {}, &Obs::null(), &mut plan)
             .expect("streaming run")
         {
             StreamOutcome::Complete(r) => break r,
@@ -185,18 +185,21 @@ fn mtd_study() -> Vec<MtdRow> {
         let deployment = arm.deployment(detector, 0xbe7);
         let obs = Obs::memory();
         let start = std::time::Instant::now();
-        let r = run_streaming_with_recorded(
-            &exp,
-            &dir,
-            |config| {
-                if !matches!(arm, DefenseArm::Undefended) {
-                    config.stimulus_alternation = 0.3;
-                    config.defense = deployment;
-                }
-            },
-            &obs,
-        )
-        .expect("fabric builds");
+        let r = exp
+            .run(
+                &dir,
+                |config| {
+                    if !matches!(arm, DefenseArm::Undefended) {
+                        config.stimulus_alternation = 0.3;
+                        config.defense = deployment;
+                    }
+                },
+                &obs,
+                &mut CrashPlan::none(),
+            )
+            .expect("fabric builds")
+            .complete()
+            .expect("no kills are planned");
         let seconds = start.elapsed().as_secs_f64();
         let frame = obs.snapshot();
         println!(
@@ -244,7 +247,7 @@ fn engine_parity() -> EngineParity {
     let stream = |exp: &StreamingCpa, tag: &str| {
         let dir = scratch_dir(tag);
         let start = std::time::Instant::now();
-        let r = run_streaming(exp, &dir).expect("fabric builds");
+        let r = run_streaming_with(exp, &dir, |_| {}).expect("fabric builds");
         let tps = traces as f64 / start.elapsed().as_secs_f64();
         let _ = std::fs::remove_dir_all(&dir);
         (r, tps)
@@ -314,7 +317,7 @@ fn streaming_engine(c: &mut Criterion) {
             let exp = StreamingCpa::new(base(300))
                 .with_window(75)
                 .with_commit_every(2);
-            let r = run_streaming(black_box(&exp), &dir).unwrap();
+            let r = run_streaming_with(black_box(&exp), &dir, |_| {}).unwrap();
             let _ = std::fs::remove_dir_all(&dir);
             r
         })

@@ -27,32 +27,13 @@
 use crate::config::CheckerConfig;
 use crate::diag::{CheckKind, Finding, Severity, SpanNet};
 use slm_netlist::{NetId, Netlist};
+use slm_par::{fnv1a, fnv1a_extend};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
 const MAGIC: &[u8; 6] = b"SLMC1\n";
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv_mix(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// A shared, thread-safe cache of per-pass scan results.
 pub struct ScanCache {
@@ -107,17 +88,15 @@ impl ScanCache {
     pub fn scan_key(&self, nl: &Netlist, config: &CheckerConfig) -> u64 {
         let config_json =
             serde_json::to_string(config).expect("config serialization is infallible");
-        let mut h = fnv_mix(FNV_OFFSET, &nl.content_hash().to_le_bytes());
-        h = fnv_mix(h, config_json.as_bytes());
-        h
+        fnv1a_extend(
+            fnv1a(&nl.content_hash().to_le_bytes()),
+            config_json.as_bytes(),
+        )
     }
 
     /// The full entry key for one pass of one scan.
     fn entry_key(scan_key: u64, pass: &str) -> u64 {
-        fnv_mix(
-            fnv_mix(FNV_OFFSET, &scan_key.to_le_bytes()),
-            pass.as_bytes(),
-        )
+        fnv1a_extend(fnv1a(&scan_key.to_le_bytes()), pass.as_bytes())
     }
 
     /// Looks up the cached findings of `pass` for `scan_key`.

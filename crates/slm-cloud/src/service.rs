@@ -32,7 +32,7 @@ use std::collections::{HashMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 use slm_checker::ScanCache;
-use slm_core::experiments::{run_cpa_with, run_fault_campaign, CpaExperiment, FaultCampaign};
+use slm_core::experiments::{CpaExperiment, FaultCampaign};
 use slm_fabric::{DetectorConfig, FabricConfig, FabricError};
 use slm_obs::Obs;
 
@@ -627,7 +627,7 @@ impl CloudService {
             let task_obs = obs.fork();
             let outcome = {
                 let _span = task_obs.span("cloud.campaign");
-                self.run_campaign(resident, campaign)
+                self.run_campaign(resident, campaign, &task_obs)
             };
             (outcome, task_obs.snapshot())
         });
@@ -641,11 +641,13 @@ impl CloudService {
 
     /// Runs one campaign for a resident tenant. The seed lane is a
     /// pure function of the master seed, the submission index and the
-    /// campaign index — never of scheduling.
+    /// campaign index — never of scheduling. The campaign records its
+    /// `cpa.*` or `fault.*` metrics into `obs`.
     fn run_campaign(
         &self,
         resident: &Resident,
         campaign: u32,
+        obs: &Obs,
     ) -> Result<CampaignOutcome, FabricError> {
         let workload = &resident.sub.workload;
         let lane = ((resident.id as u64) << 32) | campaign as u64;
@@ -664,9 +666,7 @@ impl CloudService {
                     pilot_traces: 16,
                     seed,
                 };
-                let result = run_cpa_with(&exp, |fc| {
-                    fc.defense = defense;
-                })?;
+                let result = exp.run(|fc| fc.defense = defense, obs)?;
                 Ok(CampaignOutcome::Cpa {
                     recovered_key_byte: result.recovered_key_byte,
                     correct_key_byte: result.correct_key_byte,
@@ -689,7 +689,7 @@ impl CloudService {
                     // shards inside one campaign stay serial.
                     workers: 1,
                 };
-                let outcome = run_fault_campaign(&fault)?;
+                let outcome = fault.run(obs)?;
                 Ok(CampaignOutcome::Fault {
                     captures: outcome.captures,
                     faulted: outcome.faulted,

@@ -70,6 +70,71 @@ impl CpaExperiment {
     pub(crate) fn checkpoint_every(&self) -> u64 {
         (self.traces / self.checkpoints.max(1) as u64).max(1)
     }
+
+    /// Runs the campaign on the default fabric after `tweak` (a
+    /// defense, fence or placement; `|_| {}` for none), recording into
+    /// `obs`: `cpa.*` counters, per-checkpoint leader margins and PDN
+    /// droop telemetry. With [`Obs::null`] nothing is recorded, and
+    /// recording never changes the result.
+    ///
+    /// Pipeline (matching the paper's workflow): a pilot phase captures
+    /// full endpoint vectors while the victim encrypts, from which the
+    /// fluctuating *bits of interest* and the highest-variance endpoint
+    /// are derived; the main phase then captures only the final-round
+    /// window (and only the needed endpoints), post-processes each
+    /// capture to scalar points, and feeds a streaming last-round CPA.
+    /// The main phase is one lane over the whole budget on the pilot's
+    /// own fabric, so it continues the pilot's noise and plaintext
+    /// streams.
+    ///
+    /// # Errors
+    ///
+    /// Propagates fabric construction failures.
+    pub fn run(
+        &self,
+        tweak: impl FnOnce(&mut FabricConfig),
+        obs: &Obs,
+    ) -> Result<CpaResult, FabricError> {
+        let config = self.fabric_config(tweak);
+        let (mut fabric, setup) = {
+            let _pilot_span = obs.span(CPA.pilot);
+            pilot_setup(self, &config)?
+        };
+        let mut progress_per = vec![Vec::with_capacity(self.checkpoints); setup.single_bit_slots];
+        let lane = Lane {
+            start: 0,
+            traces: self.traces,
+            chunk: ABSORB_BATCH,
+            checkpoint_every: self.checkpoint_every(),
+        };
+        let (attacks, _) = capture_lane(&setup, &mut fabric, &lane, &CPA, obs, |t, at| {
+            push_progress(&mut progress_per, t, at, &CPA, obs)
+        });
+        if self.traces > 0 {
+            push_progress(&mut progress_per, self.traces, &attacks, &CPA, obs);
+        }
+        record_fabric_telemetry(&fabric, obs);
+        Ok(assemble_result(
+            &setup,
+            &attacks,
+            progress_per,
+            1,
+            self.traces,
+        ))
+    }
+}
+
+/// [`CpaExperiment::run`] without recording. Kept with this signature
+/// for the benchmark harness, which calls it.
+///
+/// # Errors
+///
+/// Propagates fabric construction failures.
+pub fn run_cpa_with(
+    exp: &CpaExperiment,
+    tweak: impl FnOnce(&mut FabricConfig),
+) -> Result<CpaResult, FabricError> {
+    exp.run(tweak, &Obs::null())
 }
 
 /// Outcome of one CPA campaign.
@@ -91,34 +156,6 @@ pub struct CpaResult {
     pub selected_bit: Option<usize>,
     /// Total traces processed.
     pub traces: u64,
-}
-
-/// Runs one CPA campaign.
-///
-/// Pipeline (matching the paper's workflow): a pilot phase captures full
-/// endpoint vectors while the victim encrypts, from which the
-/// fluctuating *bits of interest* and the highest-variance endpoint are
-/// derived; the main phase then captures only the final-round window
-/// (and only the needed endpoints), post-processes each capture to
-/// scalar points, and feeds a streaming last-round CPA.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn run_cpa(exp: &CpaExperiment) -> Result<CpaResult, FabricError> {
-    run_cpa_inner(exp, |_| {}, &Obs::null())
-}
-
-/// [`run_cpa`] with an observability handle: the campaign emits
-/// `cpa.*` counters, per-checkpoint leader margins and PDN droop
-/// telemetry into `obs`. With a [`NullRecorder`](slm_obs::NullRecorder)
-/// handle this is the plain serial campaign.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn run_cpa_recorded(exp: &CpaExperiment, obs: &Obs) -> Result<CpaResult, FabricError> {
-    run_cpa_inner(exp, |_| {}, obs)
 }
 
 /// Everything the pilot phase decides about a campaign: the hypothesis
@@ -151,9 +188,8 @@ impl CampaignSetup {
 
 /// Runs the pilot phase on a fresh fabric built from `config` and
 /// derives the campaign setup. The fabric is returned with its noise
-/// and plaintext streams advanced past the pilot, so the serial path
-/// can keep capturing on it exactly as before the pilot/main split was
-/// factored out.
+/// and plaintext streams advanced past the pilot, so the serial
+/// campaign, full-key recovery and the TVLA study keep capturing on it.
 pub(crate) fn pilot_setup(
     exp: &CpaExperiment,
     config: &FabricConfig,
@@ -265,8 +301,9 @@ pub(crate) fn pilot_independent(source: SensorSource) -> bool {
 
 /// Post-processes one capture into the trace points of attack slot
 /// `slot` — the single shared definition of every sensor source's
-/// trace-point function, used by the batched absorb path.
-fn fill_points(
+/// trace-point function, used by the batched absorb path and the
+/// extensions that capture through the campaign pilot.
+pub(crate) fn fill_points(
     setup: &CampaignSetup,
     rec: &slm_fabric::CaptureRecord,
     slot: usize,
@@ -547,48 +584,6 @@ pub(crate) fn assemble_result(
     }
 }
 
-/// [`run_cpa`] with a fabric-configuration hook applied before the
-/// fabric is built — used by the countermeasure and placement studies.
-///
-/// The main phase is one lane over the whole budget on the pilot's own
-/// fabric, so it continues the pilot's noise and plaintext streams.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub(crate) fn run_cpa_inner(
-    exp: &CpaExperiment,
-    tweak: impl FnOnce(&mut FabricConfig),
-    obs: &Obs,
-) -> Result<CpaResult, FabricError> {
-    let config = exp.fabric_config(tweak);
-    let (mut fabric, setup) = {
-        let _pilot_span = obs.span(CPA.pilot);
-        pilot_setup(exp, &config)?
-    };
-    let mut progress_per = vec![Vec::with_capacity(exp.checkpoints); setup.single_bit_slots];
-    let lane = Lane {
-        start: 0,
-        traces: exp.traces,
-        chunk: ABSORB_BATCH,
-        checkpoint_every: exp.checkpoint_every(),
-    };
-    let (attacks, _) = capture_lane(&setup, &mut fabric, &lane, &CPA, obs, |t, at| {
-        push_progress(&mut progress_per, t, at, &CPA, obs)
-    });
-    if exp.traces > 0 {
-        push_progress(&mut progress_per, exp.traces, &attacks, &CPA, obs);
-    }
-    record_fabric_telemetry(&fabric, obs);
-    Ok(assemble_result(
-        &setup,
-        &attacks,
-        progress_per,
-        1,
-        exp.traces,
-    ))
-}
-
 /// Runs an AES-activity pilot only, returning the activity accumulator —
 /// shared helper for studies that need endpoint statistics under real
 /// victim traffic.
@@ -629,7 +624,7 @@ mod tests {
             pilot_traces: 100,
             seed: 7,
         };
-        let r = run_cpa(&exp).unwrap();
+        let r = run_cpa_with(&exp, |_| {}).unwrap();
         assert_eq!(r.recovered_key_byte, Some(r.correct_key_byte));
         let mtd = r.mtd.expect("TDC should disclose the key");
         assert!(mtd <= 3_000, "TDC MTD {mtd} should be well under 3k traces");
@@ -647,7 +642,7 @@ mod tests {
             pilot_traces: 100,
             seed: 8,
         };
-        let r = run_cpa(&exp).unwrap();
+        let r = run_cpa_with(&exp, |_| {}).unwrap();
         assert_eq!(r.recovered_key_byte, Some(r.correct_key_byte));
     }
 
@@ -662,8 +657,8 @@ mod tests {
             seed: 5,
         };
         let obs = Obs::memory();
-        let recorded = run_cpa_recorded(&exp, &obs).unwrap();
-        let plain = run_cpa(&exp).unwrap();
+        let recorded = exp.run(|_| {}, &obs).unwrap();
+        let plain = run_cpa_with(&exp, |_| {}).unwrap();
         // Observability must never perturb the result.
         assert_eq!(recorded, plain);
         let frame = obs.snapshot();
@@ -687,7 +682,7 @@ mod tests {
             pilot_traces: 150,
             seed: 9,
         };
-        let r = run_cpa(&exp).unwrap();
+        let r = run_cpa_with(&exp, |_| {}).unwrap();
         assert!(!r.bits_of_interest.is_empty());
         let bit = r.selected_bit.unwrap();
         assert!(r.bits_of_interest.contains(&bit));

@@ -21,7 +21,7 @@ use slm_fabric::{
 };
 use slm_obs::{MetricsFrame, Obs};
 
-use super::cpa::{run_cpa_inner, CpaExperiment, CpaResult};
+use super::cpa::{CpaExperiment, CpaResult};
 
 /// One countermeasure arm of the matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -132,6 +132,86 @@ impl DefenseMatrixExperiment {
             workers: 0,
         }
     }
+
+    /// Runs the matrix. Each cell runs under a `defense.cell` span in a
+    /// forked recorder of `obs` (emitting the campaign's `cpa.*` stream
+    /// plus `defense.*` injected-current gauges and detection
+    /// counters), and frames fold back in arm order so merged metrics
+    /// are worker-count invariant.
+    ///
+    /// # Errors
+    ///
+    /// Propagates fabric construction failures from any cell.
+    pub fn run(&self, obs: &Obs) -> Result<DefenseMatrix, FabricError> {
+        let cells: Vec<Result<(MatrixCell, MetricsFrame), FabricError>> =
+            slm_par::par_map(self.workers, &self.arms, |arm| {
+                // Cells always record into a live frame — the matrix report
+                // needs the defense telemetry even when the caller passed a
+                // null handle. With an enabled handle the cell records into
+                // a forked sibling instead, folded back in arm order below.
+                let cell_obs = if obs.enabled() {
+                    obs.fork()
+                } else {
+                    Obs::memory()
+                };
+                let deployment = arm.deployment(
+                    self.detector,
+                    slm_par::mix_seed(self.base.seed, arm_tag(arm)),
+                );
+                let result = {
+                    let _span = cell_obs.span("defense.cell");
+                    self.base.run(
+                        |config| {
+                            config.stimulus_alternation = self.stimulus_alternation;
+                            config.defense = deployment;
+                        },
+                        &cell_obs,
+                    )?
+                };
+                cell_obs.incr("defense.cells");
+                // The campaign loop already emitted the defense gauges; the
+                // cell keeps the two headline numbers for the report.
+                let frame = cell_obs.snapshot();
+                let cell = MatrixCell {
+                    arm: *arm,
+                    result,
+                    injected_mean_a: frame
+                        .gauges
+                        .get("defense.injected_mean_a")
+                        .map_or(0.0, |g| g.last),
+                    alarm_windows: frame.counter("defense.alarm_windows"),
+                };
+                Ok((cell, frame))
+            });
+
+        let mut out = Vec::with_capacity(self.arms.len());
+        for cell in cells {
+            let (cell, frame) = cell?;
+            obs.absorb(&frame);
+            out.push(cell);
+        }
+
+        let detector = {
+            let _span = obs.span("defense.detector_eval");
+            evaluate_detector(self)?
+        };
+        if obs.enabled() {
+            obs.add("defense.detector_hits", detector.attacker.alarm_windows);
+            obs.add(
+                "defense.detector_false_alarms",
+                detector.benign.alarm_windows,
+            );
+            obs.gauge(
+                "defense.detector_attacker_score",
+                detector.attacker.max_score,
+            );
+            obs.gauge("defense.detector_benign_score", detector.benign.max_score);
+        }
+        Ok(DefenseMatrix {
+            cells: out,
+            detector,
+        })
+    }
 }
 
 /// One cell of the matrix: the campaign outcome under one defense arm,
@@ -224,97 +304,6 @@ impl DefenseMatrix {
     }
 }
 
-/// Runs the attack-vs-defense matrix.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures from any cell.
-pub fn defense_matrix(exp: &DefenseMatrixExperiment) -> Result<DefenseMatrix, FabricError> {
-    defense_matrix_recorded(exp, &Obs::null())
-}
-
-/// [`defense_matrix`] with an observability handle: each cell runs
-/// under a `defense.cell` span in a forked recorder (emitting the
-/// campaign's `cpa.*` stream plus `defense.*` injected-current gauges
-/// and detection counters), and frames fold back in arm order so merged
-/// metrics are worker-count invariant.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures from any cell.
-pub fn defense_matrix_recorded(
-    exp: &DefenseMatrixExperiment,
-    obs: &Obs,
-) -> Result<DefenseMatrix, FabricError> {
-    let cells: Vec<Result<(MatrixCell, MetricsFrame), FabricError>> =
-        slm_par::par_map(exp.workers, &exp.arms, |arm| {
-            // Cells always record into a live frame — the matrix report
-            // needs the defense telemetry even when the caller passed a
-            // null handle. With an enabled handle the cell records into
-            // a forked sibling instead, folded back in arm order below.
-            let cell_obs = if obs.enabled() {
-                obs.fork()
-            } else {
-                Obs::memory()
-            };
-            let deployment =
-                arm.deployment(exp.detector, slm_par::mix_seed(exp.base.seed, arm_tag(arm)));
-            let result = {
-                let _span = cell_obs.span("defense.cell");
-                run_cpa_inner(
-                    &exp.base,
-                    |config| {
-                        config.stimulus_alternation = exp.stimulus_alternation;
-                        config.defense = deployment;
-                    },
-                    &cell_obs,
-                )?
-            };
-            cell_obs.incr("defense.cells");
-            // The campaign loop already emitted the defense gauges; the
-            // cell keeps the two headline numbers for the report.
-            let frame = cell_obs.snapshot();
-            let cell = MatrixCell {
-                arm: *arm,
-                result,
-                injected_mean_a: frame
-                    .gauges
-                    .get("defense.injected_mean_a")
-                    .map_or(0.0, |g| g.last),
-                alarm_windows: frame.counter("defense.alarm_windows"),
-            };
-            Ok((cell, frame))
-        });
-
-    let mut out = Vec::with_capacity(exp.arms.len());
-    for cell in cells {
-        let (cell, frame) = cell?;
-        obs.absorb(&frame);
-        out.push(cell);
-    }
-
-    let detector = {
-        let _span = obs.span("defense.detector_eval");
-        evaluate_detector(exp)?
-    };
-    if obs.enabled() {
-        obs.add("defense.detector_hits", detector.attacker.alarm_windows);
-        obs.add(
-            "defense.detector_false_alarms",
-            detector.benign.alarm_windows,
-        );
-        obs.gauge(
-            "defense.detector_attacker_score",
-            detector.attacker.max_score,
-        );
-        obs.gauge("defense.detector_benign_score", detector.benign.max_score);
-    }
-    Ok(DefenseMatrix {
-        cells: out,
-        detector,
-    })
-}
-
 /// A stable per-arm seed lane (content-derived, so inserting an arm
 /// does not re-seed its neighbours). Shared with the fault matrix so
 /// the same defense arm lands on the same lane in both sweeps.
@@ -344,19 +333,29 @@ fn evaluate_detector(exp: &DefenseMatrixExperiment) -> Result<DetectorEval, Fabr
             }),
             ..FabricConfig::default()
         };
-        let mut fabric = MultiTenantFabric::new(&config)?;
-        fabric.run_activity(None, AesActivity::Continuous, exp.detector_samples);
-        let t = fabric.defense_telemetry().expect("defense deployed");
-        Ok(DetectorReading {
-            windows: t.windows,
-            alarm_windows: t.alarm_windows,
-            alarm_events: t.alarm_events,
-            max_score: t.max_score,
-        })
+        detector_reading(&config, exp.detector_samples)
     };
     Ok(DetectorEval {
         attacker: reading(exp.stimulus_alternation, 0xa77)?,
         benign: reading(0.0, 0xb19)?,
+    })
+}
+
+/// Runs `config`'s fabric, which must deploy a defense, for `samples`
+/// measure-edge samples of continuous victim activity and reads its
+/// detector's alarm counts.
+pub(crate) fn detector_reading(
+    config: &FabricConfig,
+    samples: usize,
+) -> Result<DetectorReading, FabricError> {
+    let mut fabric = MultiTenantFabric::new(config)?;
+    fabric.run_activity(None, AesActivity::Continuous, samples);
+    let t = fabric.defense_telemetry().expect("defense deployed");
+    Ok(DetectorReading {
+        windows: t.windows,
+        alarm_windows: t.alarm_windows,
+        alarm_events: t.alarm_events,
+        max_score: t.max_score,
     })
 }
 
@@ -380,7 +379,7 @@ mod tests {
     #[test]
     fn matrix_shows_monotonic_fence_degradation() {
         let exp = DefenseMatrixExperiment::standard(quick_base());
-        let matrix = defense_matrix(&exp).unwrap();
+        let matrix = exp.run(&Obs::null()).unwrap();
         assert_eq!(matrix.cells.len(), exp.arms.len());
 
         // The undefended attack must still succeed...
@@ -407,7 +406,7 @@ mod tests {
     fn detector_separates_attacker_from_benign_tenant() {
         let mut exp = DefenseMatrixExperiment::standard(quick_base());
         exp.arms = vec![DefenseArm::Undefended]; // detector eval only
-        let matrix = defense_matrix(&exp).unwrap();
+        let matrix = exp.run(&Obs::null()).unwrap();
         let d = &matrix.detector;
         assert!(d.attacker.windows >= 2);
         assert!(
@@ -430,7 +429,7 @@ mod tests {
         // constant fence must leave the attack essentially intact.
         let mut exp = DefenseMatrixExperiment::standard(quick_base());
         exp.arms = vec![DefenseArm::Undefended, DefenseArm::ConstantFence(1.5)];
-        let matrix = defense_matrix(&exp).unwrap();
+        let matrix = exp.run(&Obs::null()).unwrap();
         let constant = matrix.cell(&DefenseArm::ConstantFence(1.5)).unwrap();
         assert!(
             constant.result.mtd.is_some(),

@@ -3,10 +3,10 @@
 
 use serde::{Deserialize, Serialize};
 use slm_aes::soft;
-use slm_cpa::{common_mode_polarity, BitActivity, MultiByteCpa, PostProcessor, WelchTTest};
-use slm_fabric::{BenignCircuit, FabricConfig, FabricError, FenceConfig, MultiTenantFabric};
+use slm_cpa::{MultiByteCpa, WelchTTest};
+use slm_fabric::{BenignCircuit, FabricError, FenceConfig};
 
-use super::cpa::{run_cpa, CpaExperiment, CpaResult, SensorSource};
+use super::cpa::{fill_points, pilot_setup, run_cpa_with, CpaExperiment, CpaResult, SensorSource};
 
 /// Outcome of the full-key recovery extension.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -45,65 +45,33 @@ pub fn full_key_recovery(
     pilot_traces: usize,
     seed: u64,
 ) -> Result<FullKeyResult, FabricError> {
-    let config = FabricConfig {
-        benign: circuit,
+    // The campaign pilot, except that both TDC sources read raw
+    // thermometer depth here.
+    let exp = CpaExperiment {
+        circuit,
+        source: match source {
+            SensorSource::TdcSingleBit(_) => SensorSource::TdcAll,
+            other => other,
+        },
+        traces,
+        checkpoints: 1,
+        pilot_traces,
         seed,
-        ..FabricConfig::default()
     };
-    let mut fabric = MultiTenantFabric::new(&config)?;
+    let config = exp.fabric_config(|_| {});
+    let (mut fabric, setup) = pilot_setup(&exp, &config)?;
     let true_round_key = fabric.aes().round_keys()[10];
-
-    // pilot (as in run_cpa)
-    let mut activity = BitActivity::new(fabric.endpoints());
-    let mut pilot_samples = Vec::new();
-    for _ in 0..pilot_traces {
-        let pt = fabric.random_plaintext();
-        let rec = fabric.encrypt_and_capture(pt);
-        for s in &rec.benign {
-            activity.add(s);
-        }
-        pilot_samples.extend(rec.benign);
-    }
-    let mut bits_of_interest = activity.sensitive_bits();
-    if bits_of_interest.is_empty() {
-        bits_of_interest = (0..fabric.endpoints()).collect();
-    }
-
-    let window = fabric.last_round_window();
-    let points = window.len();
-    let (endpoints, processor): (Vec<usize>, Option<PostProcessor>) = match source {
-        SensorSource::TdcAll | SensorSource::TdcSingleBit(_) => (Vec::new(), None),
-        SensorSource::BenignHammingWeight => {
-            let invert = common_mode_polarity(&pilot_samples, &bits_of_interest);
-            (
-                bits_of_interest.clone(),
-                Some(PostProcessor::HammingWeightAligned(invert)),
-            )
-        }
-        SensorSource::BenignSingleBit(sel) => {
-            let bit =
-                sel.unwrap_or_else(|| activity.best_endpoint().unwrap_or(bits_of_interest[0]));
-            (vec![bit], Some(PostProcessor::SingleBit(0)))
-        }
+    // A single-bit source captures only its top pilot endpoint.
+    let endpoints = match source {
+        SensorSource::BenignSingleBit(_) => &setup.endpoints[..1],
+        _ => &setup.endpoints[..],
     };
-
-    let mut multi = MultiByteCpa::new(0, points);
-    let mut point_buf = vec![0.0f64; points];
+    let mut multi = MultiByteCpa::new(0, setup.points);
+    let mut point_buf = vec![0.0f64; setup.points];
     for _ in 0..traces {
         let pt = fabric.random_plaintext();
-        let rec = fabric.encrypt_windowed(pt, window.clone(), &endpoints);
-        match &processor {
-            None => {
-                for (dst, &d) in point_buf.iter_mut().zip(&rec.tdc) {
-                    *dst = f64::from(d);
-                }
-            }
-            Some(p) => {
-                for (dst, s) in point_buf.iter_mut().zip(&rec.benign) {
-                    *dst = p.reduce(s);
-                }
-            }
-        }
+        let rec = fabric.encrypt_windowed(pt, setup.window.clone(), endpoints);
+        fill_points(&setup, &rec, 0, &mut point_buf);
         multi.add_trace(&rec.ciphertext, &point_buf);
     }
 
@@ -148,32 +116,16 @@ pub fn tvla_study(
     pilot_traces: usize,
     seed: u64,
 ) -> Result<TvlaResult, FabricError> {
-    let config = FabricConfig {
-        benign: circuit,
+    let exp = CpaExperiment {
+        circuit,
+        source: SensorSource::BenignHammingWeight,
+        traces,
+        checkpoints: 1,
+        pilot_traces,
         seed,
-        ..FabricConfig::default()
     };
-    let mut fabric = MultiTenantFabric::new(&config)?;
-
-    let mut activity = BitActivity::new(fabric.endpoints());
-    let mut pilot_samples = Vec::new();
-    for _ in 0..pilot_traces {
-        let pt = fabric.random_plaintext();
-        let rec = fabric.encrypt_and_capture(pt);
-        for s in &rec.benign {
-            activity.add(s);
-        }
-        pilot_samples.extend(rec.benign);
-    }
-    let mut bits = activity.sensitive_bits();
-    if bits.is_empty() {
-        bits = (0..fabric.endpoints()).collect();
-    }
-    let invert = common_mode_polarity(&pilot_samples, &bits);
-    let processor = PostProcessor::HammingWeightAligned(invert);
-
-    let window = fabric.last_round_window();
-    let points = window.len();
+    let (mut fabric, setup) = pilot_setup(&exp, &exp.fabric_config(|_| {}))?;
+    let points = setup.points;
     let fixed_pt = [0x5a; 16];
     let mut tdc_test = WelchTTest::new(points);
     let mut benign_test = WelchTTest::new(points);
@@ -186,13 +138,11 @@ pub fn tvla_study(
         } else {
             fabric.random_plaintext()
         };
-        let rec = fabric.encrypt_windowed(pt, window.clone(), &bits);
+        let rec = fabric.encrypt_windowed(pt, setup.window.clone(), &setup.endpoints);
         for (dst, &d) in tdc_buf.iter_mut().zip(&rec.tdc) {
             *dst = f64::from(d);
         }
-        for (dst, s) in benign_buf.iter_mut().zip(&rec.benign) {
-            *dst = processor.reduce(s);
-        }
+        fill_points(&setup, &rec, 0, &mut benign_buf);
         tdc_test.add(fixed, &tdc_buf);
         benign_test.add(fixed, &benign_buf);
     }
@@ -236,26 +186,13 @@ impl FenceStudy {
 ///
 /// Propagates fabric construction failures.
 pub fn fence_study(base: &CpaExperiment, fence: FenceConfig) -> Result<FenceStudy, FabricError> {
-    let without_fence = run_cpa(base)?;
+    let without_fence = run_cpa_with(base, |_| {})?;
     let with_fence = run_cpa_with(base, |config| config.fence = Some(fence))?;
     Ok(FenceStudy {
         without_fence,
         with_fence,
         fence,
     })
-}
-
-/// Runs a CPA campaign with a configuration tweak applied before the
-/// fabric is built (the hook the countermeasure studies use).
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn run_cpa_with(
-    exp: &CpaExperiment,
-    tweak: impl FnOnce(&mut FabricConfig),
-) -> Result<CpaResult, FabricError> {
-    super::cpa::run_cpa_inner(exp, tweak, &slm_obs::Obs::null())
 }
 
 /// Masking study: the same campaign against an unmasked and a
@@ -287,7 +224,7 @@ impl MaskingStudy {
 ///
 /// Propagates fabric construction failures.
 pub fn masking_study(base: &CpaExperiment) -> Result<MaskingStudy, FabricError> {
-    let unmasked = run_cpa(base)?;
+    let unmasked = run_cpa_with(base, |_| {})?;
     let masked = run_cpa_with(base, |config| config.masked_aes = true)?;
     Ok(MaskingStudy { unmasked, masked })
 }
@@ -341,6 +278,7 @@ pub fn tdc_dominates(benign: &CpaResult, tdc: &CpaResult) -> bool {
 mod tests {
     use super::*;
     use slm_cpa::TVLA_THRESHOLD;
+    use slm_fabric::FabricConfig;
 
     #[test]
     fn full_key_recovery_via_tdc() {

@@ -3,7 +3,7 @@
 //! countermeasure, plus an evaluation of the defender's online
 //! detector against each aggressor's duty-cycle signature.
 //!
-//! Where [`super::defense_matrix`] asks what the countermeasures buy
+//! Where the [defense matrix](super::DefenseMatrixExperiment) asks what the countermeasures buy
 //! against the *passive* sensing attack, this matrix asks the active
 //! question: can a malicious tenant's logic misuse push the shared PDN
 //! hard enough to *fault* the victim — and does any deployed defense
@@ -22,12 +22,12 @@ use serde::{Deserialize, Serialize};
 use slm_aes::soft;
 use slm_cpa::{DfaAttack, DfaModel};
 use slm_fabric::{
-    AesActivity, AggressorSpec, BenignCircuit, DefenseConfig, DetectorConfig, FabricConfig,
-    FabricError, MultiTenantFabric, ShardPlan,
+    AggressorSpec, BenignCircuit, DefenseConfig, DetectorConfig, FabricConfig, FabricError,
+    MultiTenantFabric, ShardPlan,
 };
 use slm_obs::{MetricsFrame, Obs};
 
-use super::defense_matrix::{arm_tag, DefenseArm, DetectorReading};
+use super::defense_matrix::{arm_tag, detector_reading, DefenseArm, DetectorReading};
 
 /// One sharded fault-injection campaign: capture `captures`
 /// encryptions on the configured fabric, pair each faulted ciphertext
@@ -53,6 +53,103 @@ impl FaultCampaign {
     pub fn plan(&self) -> ShardPlan {
         ShardPlan::new(self.captures, self.shard_captures.max(1))
     }
+
+    /// Runs the sharded campaign. Each shard records into a forked
+    /// frame of `obs` (`fault.captures`, `fault.pairs_*` counters under
+    /// a `fault.shard` span), folded back in shard order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates fabric construction failures from any shard.
+    pub fn run(&self, obs: &Obs) -> Result<FaultCampaignOutcome, FabricError> {
+        let shards = self.plan().shards();
+        let partials = slm_par::par_map(self.workers, &shards, |spec| -> Result<_, FabricError> {
+            let shard_obs = obs.fork();
+            let shard_config = self.config.for_shard(spec.index);
+            let mut dfa = DfaAttack::new(self.model);
+            let mut faulted = 0u64;
+            let mut fabric = {
+                let _span = shard_obs.span("fault.shard");
+                MultiTenantFabric::new(&shard_config)?
+            };
+            for _ in 0..spec.traces {
+                let pt = fabric.random_plaintext();
+                // Ciphertext-only capture: the DFA path needs no
+                // samples, so the window is empty and the BRAM stays
+                // idle.
+                let rec = fabric.encrypt_windowed(pt, 0..0, &[]);
+                let golden = soft::encrypt(&shard_config.aes_key, &pt);
+                if rec.ciphertext != golden {
+                    faulted += 1;
+                }
+                dfa.add_pair(&golden, &rec.ciphertext);
+            }
+            shard_obs.add("fault.captures", spec.traces);
+            let (accepted, _, discarded) = dfa.pair_counts();
+            shard_obs.add("fault.pairs_accepted", accepted);
+            shard_obs.add("fault.pairs_discarded", discarded);
+            let (fault_cycles, min_v) = match fabric.fault_telemetry() {
+                Some(t) => (t.fault_cycles, t.min_victim_v),
+                None => (0, fabric.victim_min_voltage()),
+            };
+            let alarm_windows = fabric.defense_telemetry().map_or(0, |t| t.alarm_windows);
+            Ok(ShardPartial {
+                dfa,
+                captures: spec.traces,
+                faulted,
+                fault_cycles,
+                min_victim_v: min_v,
+                alarm_windows,
+                frame: shard_obs.snapshot(),
+            })
+        });
+
+        let mut merged: Option<FaultCampaignOutcome> = None;
+        for partial in partials {
+            let p = partial?;
+            obs.absorb(&p.frame);
+            match &mut merged {
+                None => {
+                    merged = Some(FaultCampaignOutcome {
+                        dfa: p.dfa,
+                        captures: p.captures,
+                        faulted: p.faulted,
+                        fault_cycles: p.fault_cycles,
+                        min_victim_v: p.min_victim_v,
+                        alarm_windows: p.alarm_windows,
+                    });
+                }
+                Some(out) => {
+                    out.dfa
+                        .try_merge(&p.dfa)
+                        .expect("shards share one fault model");
+                    out.captures += p.captures;
+                    out.faulted += p.faulted;
+                    out.fault_cycles += p.fault_cycles;
+                    out.min_victim_v = out.min_victim_v.min(p.min_victim_v);
+                    out.alarm_windows += p.alarm_windows;
+                }
+            }
+        }
+        Ok(merged.unwrap_or_else(|| FaultCampaignOutcome {
+            dfa: DfaAttack::new(self.model),
+            captures: 0,
+            faulted: 0,
+            fault_cycles: 0,
+            min_victim_v: self.config.pdn.v_nominal,
+            alarm_windows: 0,
+        }))
+    }
+}
+
+/// [`FaultCampaign::run`] without recording. Kept with this signature
+/// for the benchmark harness, which calls it.
+///
+/// # Errors
+///
+/// Propagates fabric construction failures from any shard.
+pub fn run_fault_campaign(exp: &FaultCampaign) -> Result<FaultCampaignOutcome, FabricError> {
+    exp.run(&Obs::null())
 }
 
 /// The merged outcome of a fault campaign.
@@ -94,104 +191,6 @@ struct ShardPartial {
     min_victim_v: f64,
     alarm_windows: u64,
     frame: MetricsFrame,
-}
-
-/// Runs a sharded fault campaign.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures from any shard.
-pub fn run_fault_campaign(exp: &FaultCampaign) -> Result<FaultCampaignOutcome, FabricError> {
-    run_fault_campaign_recorded(exp, &Obs::null())
-}
-
-/// [`run_fault_campaign`] with an observability handle: each shard
-/// records into a forked frame (`fault.captures`, `fault.pairs_*`
-/// counters under a `fault.shard` span) folded back in shard order.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures from any shard.
-pub fn run_fault_campaign_recorded(
-    exp: &FaultCampaign,
-    obs: &Obs,
-) -> Result<FaultCampaignOutcome, FabricError> {
-    let shards = exp.plan().shards();
-    let partials = slm_par::par_map(exp.workers, &shards, |spec| -> Result<_, FabricError> {
-        let shard_obs = obs.fork();
-        let shard_config = exp.config.for_shard(spec.index);
-        let mut dfa = DfaAttack::new(exp.model);
-        let mut faulted = 0u64;
-        let mut fabric = {
-            let _span = shard_obs.span("fault.shard");
-            MultiTenantFabric::new(&shard_config)?
-        };
-        for _ in 0..spec.traces {
-            let pt = fabric.random_plaintext();
-            // Ciphertext-only capture: the DFA path needs no samples,
-            // so the window is empty and the BRAM stays idle.
-            let rec = fabric.encrypt_windowed(pt, 0..0, &[]);
-            let golden = soft::encrypt(&shard_config.aes_key, &pt);
-            if rec.ciphertext != golden {
-                faulted += 1;
-            }
-            dfa.add_pair(&golden, &rec.ciphertext);
-        }
-        shard_obs.add("fault.captures", spec.traces);
-        let (accepted, _, discarded) = dfa.pair_counts();
-        shard_obs.add("fault.pairs_accepted", accepted);
-        shard_obs.add("fault.pairs_discarded", discarded);
-        let (fault_cycles, min_v) = match fabric.fault_telemetry() {
-            Some(t) => (t.fault_cycles, t.min_victim_v),
-            None => (0, fabric.victim_min_voltage()),
-        };
-        let alarm_windows = fabric.defense_telemetry().map_or(0, |t| t.alarm_windows);
-        Ok(ShardPartial {
-            dfa,
-            captures: spec.traces,
-            faulted,
-            fault_cycles,
-            min_victim_v: min_v,
-            alarm_windows,
-            frame: shard_obs.snapshot(),
-        })
-    });
-
-    let mut merged: Option<FaultCampaignOutcome> = None;
-    for partial in partials {
-        let p = partial?;
-        obs.absorb(&p.frame);
-        match &mut merged {
-            None => {
-                merged = Some(FaultCampaignOutcome {
-                    dfa: p.dfa,
-                    captures: p.captures,
-                    faulted: p.faulted,
-                    fault_cycles: p.fault_cycles,
-                    min_victim_v: p.min_victim_v,
-                    alarm_windows: p.alarm_windows,
-                });
-            }
-            Some(out) => {
-                out.dfa
-                    .try_merge(&p.dfa)
-                    .expect("shards share one fault model");
-                out.captures += p.captures;
-                out.faulted += p.faulted;
-                out.fault_cycles += p.fault_cycles;
-                out.min_victim_v = out.min_victim_v.min(p.min_victim_v);
-                out.alarm_windows += p.alarm_windows;
-            }
-        }
-    }
-    Ok(merged.unwrap_or_else(|| FaultCampaignOutcome {
-        dfa: DfaAttack::new(exp.model),
-        captures: 0,
-        faulted: 0,
-        fault_cycles: 0,
-        min_victim_v: exp.config.pdn.v_nominal,
-        alarm_windows: 0,
-    }))
 }
 
 /// Parameters of a full aggressor-vs-defense matrix run.
@@ -253,6 +252,88 @@ impl FaultMatrixExperiment {
             seed,
             workers: 0,
         }
+    }
+
+    /// Runs the matrix. Each cell runs under a `fault.cell` span in a
+    /// forked recorder of `obs`, frames fold back in row-major cell
+    /// order, and the detector sweep records per-row alarm counters —
+    /// merged metrics are worker-count invariant.
+    ///
+    /// # Errors
+    ///
+    /// Propagates fabric construction failures from any cell.
+    pub fn run(&self, obs: &Obs) -> Result<FaultMatrix, FabricError> {
+        let tasks: Vec<(Option<AggressorSpec>, DefenseArm)> = self
+            .aggressors
+            .iter()
+            .flat_map(|agg| self.arms.iter().map(move |arm| (*agg, *arm)))
+            .collect();
+
+        let cells: Vec<Result<(FaultMatrixCell, MetricsFrame), FabricError>> =
+            slm_par::par_map(self.workers, &tasks, |(aggressor, arm)| {
+                let cell_obs = obs.fork();
+                // Each cell gets its own seed lane so inserting a row or
+                // column never re-seeds its neighbours.
+                let lane = aggressor_tag(aggressor) ^ arm_tag(arm);
+                let seed = slm_par::mix_seed(self.seed, lane);
+                let config = FabricConfig {
+                    benign: self.circuit,
+                    seed,
+                    aggressor: *aggressor,
+                    defense: arm.deployment(self.detector, slm_par::mix_seed(seed, 0xdef)),
+                    ..FabricConfig::default()
+                };
+                let campaign = FaultCampaign {
+                    config,
+                    model: self.model,
+                    captures: self.captures,
+                    shard_captures: self.shard_captures,
+                    // Shards run serially inside the cell; the matrix
+                    // parallelism is the cell fan-out.
+                    workers: 1,
+                };
+                let outcome = {
+                    let _span = cell_obs.span("fault.cell");
+                    campaign.run(&cell_obs)?
+                };
+                cell_obs.incr("fault.cells");
+                let (accepted, _, discarded) = outcome.dfa.pair_counts();
+                let cell = FaultMatrixCell {
+                    aggressor: *aggressor,
+                    arm: *arm,
+                    faults_per_1k: outcome.faults_per_1k(),
+                    pairs_accepted: accepted,
+                    pairs_discarded: discarded,
+                    recovered_bytes: outcome.dfa.recovered_bytes(),
+                    recovered_key: outcome.dfa.recovered_master_key(),
+                    min_victim_v: outcome.min_victim_v,
+                    alarm_windows: outcome.alarm_windows,
+                };
+                Ok((cell, cell_obs.snapshot()))
+            });
+
+        let mut out = Vec::with_capacity(tasks.len());
+        for cell in cells {
+            let (cell, frame) = cell?;
+            obs.absorb(&frame);
+            out.push(cell);
+        }
+
+        let detector = {
+            let _span = obs.span("fault.detector_eval");
+            evaluate_detector(self)?
+        };
+        if obs.enabled() {
+            for row in &detector {
+                if row.detected() {
+                    obs.incr("fault.detector_hits");
+                }
+            }
+        }
+        Ok(FaultMatrix {
+            cells: out,
+            detector,
+        })
     }
 }
 
@@ -341,104 +422,6 @@ fn aggressor_tag(aggressor: &Option<AggressorSpec>) -> u64 {
     aggressor.as_ref().map_or(0, AggressorSpec::tag)
 }
 
-/// Runs the aggressor-vs-defense fault matrix.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures from any cell.
-pub fn fault_matrix(exp: &FaultMatrixExperiment) -> Result<FaultMatrix, FabricError> {
-    fault_matrix_recorded(exp, &Obs::null())
-}
-
-/// [`fault_matrix`] with an observability handle: each cell runs under
-/// a `fault.cell` span in a forked recorder, frames fold back in
-/// row-major cell order, and the detector sweep records per-row alarm
-/// counters — merged metrics are worker-count invariant.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures from any cell.
-pub fn fault_matrix_recorded(
-    exp: &FaultMatrixExperiment,
-    obs: &Obs,
-) -> Result<FaultMatrix, FabricError> {
-    let tasks: Vec<(Option<AggressorSpec>, DefenseArm)> = exp
-        .aggressors
-        .iter()
-        .flat_map(|agg| exp.arms.iter().map(move |arm| (*agg, *arm)))
-        .collect();
-
-    let cells: Vec<Result<(FaultMatrixCell, MetricsFrame), FabricError>> =
-        slm_par::par_map(exp.workers, &tasks, |(aggressor, arm)| {
-            let cell_obs = if obs.enabled() {
-                obs.fork()
-            } else {
-                Obs::memory()
-            };
-            // Each cell gets its own seed lane so inserting a row or
-            // column never re-seeds its neighbours.
-            let lane = aggressor_tag(aggressor) ^ arm_tag(arm);
-            let seed = slm_par::mix_seed(exp.seed, lane);
-            let config = FabricConfig {
-                benign: exp.circuit,
-                seed,
-                aggressor: *aggressor,
-                defense: arm.deployment(exp.detector, slm_par::mix_seed(seed, 0xdef)),
-                ..FabricConfig::default()
-            };
-            let campaign = FaultCampaign {
-                config,
-                model: exp.model,
-                captures: exp.captures,
-                shard_captures: exp.shard_captures,
-                // Shards run serially inside the cell; the matrix
-                // parallelism is the cell fan-out.
-                workers: 1,
-            };
-            let outcome = {
-                let _span = cell_obs.span("fault.cell");
-                run_fault_campaign_recorded(&campaign, &cell_obs)?
-            };
-            cell_obs.incr("fault.cells");
-            let (accepted, _, discarded) = outcome.dfa.pair_counts();
-            let cell = FaultMatrixCell {
-                aggressor: *aggressor,
-                arm: *arm,
-                faults_per_1k: outcome.faults_per_1k(),
-                pairs_accepted: accepted,
-                pairs_discarded: discarded,
-                recovered_bytes: outcome.dfa.recovered_bytes(),
-                recovered_key: outcome.dfa.recovered_master_key(),
-                min_victim_v: outcome.min_victim_v,
-                alarm_windows: outcome.alarm_windows,
-            };
-            Ok((cell, cell_obs.snapshot()))
-        });
-
-    let mut out = Vec::with_capacity(tasks.len());
-    for cell in cells {
-        let (cell, frame) = cell?;
-        obs.absorb(&frame);
-        out.push(cell);
-    }
-
-    let detector = {
-        let _span = obs.span("fault.detector_eval");
-        evaluate_detector(exp)?
-    };
-    if obs.enabled() {
-        for row in &detector {
-            if row.detected() {
-                obs.incr("fault.detector_hits");
-            }
-        }
-    }
-    Ok(FaultMatrix {
-        cells: out,
-        detector,
-    })
-}
-
 /// Runs the defender's detector against each aggressor row on a
 /// monitor-only fabric: no fence, no LDO, balanced tenant stimulus —
 /// the only anomalous signal is the aggressor's duty cycle reaching
@@ -461,17 +444,9 @@ fn evaluate_detector(
                 }),
                 ..FabricConfig::default()
             };
-            let mut fabric = MultiTenantFabric::new(&config)?;
-            fabric.run_activity(None, AesActivity::Continuous, exp.detector_samples);
-            let t = fabric.defense_telemetry().expect("defense deployed");
             Ok(AggressorDetectorReading {
                 aggressor: *aggressor,
-                reading: DetectorReading {
-                    windows: t.windows,
-                    alarm_windows: t.alarm_windows,
-                    alarm_events: t.alarm_events,
-                    max_score: t.max_score,
-                },
+                reading: detector_reading(&config, exp.detector_samples)?,
             })
         })
         .collect()
@@ -540,7 +515,7 @@ mod tests {
         exp.arms = vec![DefenseArm::Undefended, DefenseArm::Ldo(0.25)];
         exp.captures = 150;
         exp.shard_captures = 50;
-        let matrix = fault_matrix(&exp).unwrap();
+        let matrix = exp.run(&Obs::null()).unwrap();
         assert_eq!(matrix.cells.len(), 4);
         assert_eq!(matrix.detector.len(), 2);
         // The aggressor-free row is fault-free everywhere.

@@ -18,25 +18,19 @@ pub use audits::{
     atpg_stimulus_study, floorplan_views, stealth_audit, timing_audit, AtpgStudy, FloorplanView,
     StealthAudit, TimingAudit, TimingVerdict,
 };
-pub use cpa::{
-    aes_pilot_activity, run_cpa, run_cpa_recorded, CpaExperiment, CpaResult, SensorSource,
-};
+pub use cpa::{aes_pilot_activity, run_cpa_with, CpaExperiment, CpaResult, SensorSource};
 pub use defense_matrix::{
-    defense_matrix, defense_matrix_recorded, DefenseArm, DefenseMatrix, DefenseMatrixExperiment,
-    DetectorEval, DetectorReading, MatrixCell,
+    DefenseArm, DefenseMatrix, DefenseMatrixExperiment, DetectorEval, DetectorReading, MatrixCell,
 };
 pub use extensions::{
-    fence_study, full_key_recovery, masking_study, placement_study, run_cpa_with, tdc_dominates,
-    tvla_study, FenceStudy, FullKeyResult, MaskingStudy, PlacementRow, TvlaResult,
+    fence_study, full_key_recovery, masking_study, placement_study, tdc_dominates, tvla_study,
+    FenceStudy, FullKeyResult, MaskingStudy, PlacementRow, TvlaResult,
 };
 pub use fault_matrix::{
-    fault_matrix, fault_matrix_recorded, run_fault_campaign, run_fault_campaign_recorded,
-    AggressorDetectorReading, FaultCampaign, FaultCampaignOutcome, FaultMatrix, FaultMatrixCell,
-    FaultMatrixExperiment,
+    run_fault_campaign, AggressorDetectorReading, FaultCampaign, FaultCampaignOutcome, FaultMatrix,
+    FaultMatrixCell, FaultMatrixExperiment,
 };
-pub use parallel::{
-    run_cpa_parallel, run_cpa_parallel_recorded, run_cpa_parallel_with_recorded, ParallelCpa,
-};
+pub use parallel::{run_cpa_parallel, ParallelCpa};
 pub use preliminary::{
     activity_study, bit_census, bit_variance, ro_response, ActivityStudy, CensusResult, RoResponse,
     VarianceResult,
@@ -45,8 +39,7 @@ pub use stealth_matrix::{
     stealth_matrix, MatrixRow, StealthMatrix, OVERCLOCK_MHZ, SYNTH_CRITICAL_NS,
 };
 pub use streaming::{
-    run_streaming, run_streaming_crashing, run_streaming_recorded, run_streaming_with,
-    run_streaming_with_recorded, CrashPlan, CrashSite, EarlyStop, StreamOutcome, StreamingCpa,
+    run_streaming_with, CrashPlan, CrashSite, EarlyStop, StreamOutcome, StreamingCpa,
     StreamingError, StreamingResult,
 };
 pub use transport_study::{

@@ -1,6 +1,6 @@
 //! Sharded parallel CPA campaigns.
 //!
-//! The serial [`run_cpa`](super::cpa::run_cpa) captures every trace on
+//! The serial [`CpaExperiment::run`] captures every trace on
 //! one fabric whose electrical state threads through the whole
 //! campaign; that stream cannot be split without changing the traces.
 //! A sharded campaign instead splits the *budget* into deterministic
@@ -11,7 +11,7 @@
 //! its lanes, folded in shard order, which makes the whole result
 //! bit-identical at any worker count. The serial reference for a sharded
 //! campaign is therefore `workers = 1` over the same plan, not the
-//! single-fabric [`run_cpa`](super::cpa::run_cpa) stream.
+//! single-fabric [`CpaExperiment::run`] stream.
 
 use super::cpa::{CpaExperiment, CpaResult};
 use super::streaming::{run_planner, StreamOutcome, StreamingCpa, StreamingError};
@@ -58,58 +58,48 @@ impl ParallelCpa {
     pub fn plan(&self) -> ShardPlan {
         ShardPlan::new(self.base.traces, self.shard_traces)
     }
+
+    /// Runs the campaign on a worker pool. `tweak` applies once to the
+    /// base configuration, before the pilot and before shard
+    /// re-seeding. Each shard records into a forked sibling of `obs`;
+    /// the shard frames fold back in shard index order, so the merged
+    /// metrics — like the result — are bit-identical at any worker
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates fabric construction failures.
+    pub fn run(
+        &self,
+        tweak: impl FnOnce(&mut FabricConfig),
+        obs: &Obs,
+    ) -> Result<CpaResult, FabricError> {
+        // The streaming planner without a ledger: shards are its lanes,
+        // each shard its own commit group.
+        let lanes = StreamingCpa {
+            base: self.base,
+            window_traces: self.shard_traces,
+            commit_every_windows: 1,
+            workers: self.workers,
+            early_stop: None,
+            config_tag: 0,
+        };
+        match run_planner(&lanes, tweak, None, obs) {
+            Ok(StreamOutcome::Complete(done)) => Ok(done.result),
+            Err(StreamingError::Fabric(e)) => Err(e),
+            _ => unreachable!("without a ledger the planner neither kills nor touches the store"),
+        }
+    }
 }
 
-/// Runs a sharded CPA campaign on a worker pool.
+/// [`ParallelCpa::run`] without a tweak or recording. Kept with this
+/// signature for the benchmark harness, which calls it.
 ///
 /// # Errors
 ///
 /// Propagates fabric construction failures.
 pub fn run_cpa_parallel(exp: &ParallelCpa) -> Result<CpaResult, FabricError> {
-    run_cpa_parallel_with_recorded(exp, |_| {}, &Obs::null())
-}
-
-/// [`run_cpa_parallel`] with an observability handle. Each shard
-/// records into a forked sibling recorder; the shard frames are folded
-/// back in shard index order, so the merged metrics — like the
-/// campaign result itself — are bit-identical at any worker count.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn run_cpa_parallel_recorded(exp: &ParallelCpa, obs: &Obs) -> Result<CpaResult, FabricError> {
-    run_cpa_parallel_with_recorded(exp, |_| {}, obs)
-}
-
-/// [`run_cpa_parallel_recorded`] with a fabric-configuration hook
-/// applied once to the base configuration before the pilot and before
-/// shard re-seeding — the sharded analogue of
-/// [`run_cpa_with`](super::extensions::run_cpa_with). Used by defended
-/// campaign drivers that want both a defense hook and telemetry.
-///
-/// # Errors
-///
-/// Propagates fabric construction failures.
-pub fn run_cpa_parallel_with_recorded(
-    exp: &ParallelCpa,
-    tweak: impl FnOnce(&mut FabricConfig),
-    obs: &Obs,
-) -> Result<CpaResult, FabricError> {
-    // The streaming planner without a ledger: shards are its lanes,
-    // each shard its own commit group.
-    let lanes = StreamingCpa {
-        base: exp.base,
-        window_traces: exp.shard_traces,
-        commit_every_windows: 1,
-        workers: exp.workers,
-        early_stop: None,
-        config_tag: 0,
-    };
-    match run_planner(&lanes, tweak, None, obs) {
-        Ok(StreamOutcome::Complete(done)) => Ok(done.result),
-        Err(StreamingError::Fabric(e)) => Err(e),
-        _ => unreachable!("without a ledger the planner neither kills nor touches the store"),
-    }
+    exp.run(|_| {}, &Obs::null())
 }
 
 #[cfg(test)]
@@ -184,7 +174,7 @@ mod tests {
                 workers,
             };
             let obs = Obs::memory();
-            let result = run_cpa_parallel_recorded(&exp, &obs).unwrap();
+            let result = exp.run(|_| {}, &obs).unwrap();
             (result, obs.snapshot())
         };
         let (r1, f1) = run(1);

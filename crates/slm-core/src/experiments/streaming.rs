@@ -16,7 +16,7 @@
 //! planner folds, evaluates and commits strictly in window order. For
 //! sources that need no pilot statistics the pilot runs beside the
 //! first captures instead of in front of them. The sharded in-memory
-//! campaign ([`run_cpa_parallel`](super::parallel::run_cpa_parallel)) is
+//! campaign ([`ParallelCpa::run`](super::parallel::ParallelCpa::run)) is
 //! the same planner without a ledger.
 //!
 //! # Exact-once window accounting
@@ -80,11 +80,11 @@ pub struct StreamingCpa {
     pub workers: usize,
     /// Optional online-MTD early stop, evaluated at every commit.
     pub early_stop: Option<EarlyStop>,
-    /// Caller-chosen tag folded into the campaign fingerprint. A
-    /// fabric tweak passed to [`run_streaming_with`] is opaque to the
-    /// engine; callers that tweak the config must tag the tweak here
-    /// so a checkpoint from a differently-defended campaign is refused
-    /// on resume.
+    /// Caller-chosen tag folded into the campaign fingerprint. The
+    /// engine also fingerprints the fabric configuration a tweak
+    /// produces, so a checkpoint from a differently-defended campaign
+    /// is refused on resume without a tag; the field stays because the
+    /// benchmark harness calls [`StreamingCpa::with_config_tag`].
     pub config_tag: u64,
 }
 
@@ -140,7 +140,9 @@ impl StreamingCpa {
         ShardPlan::new(self.base.traces, self.window_traces)
     }
 
-    /// The campaign-parameter fingerprint stored in every checkpoint.
+    /// The campaign-parameter fingerprint. [`StreamingCpa::run`] mixes
+    /// in the fabric configuration after the tweak and stores the
+    /// result in every checkpoint.
     ///
     /// Covers everything that determines the capture stream and the
     /// checkpoint cadence: circuit, sensor source, pilot size, seed,
@@ -150,27 +152,41 @@ impl StreamingCpa {
     /// worker-invariant) and the early-stop rule (a stop policy, not a
     /// capture parameter).
     pub fn fingerprint(&self) -> u64 {
-        fnv1a(&format!(
-            "{:?}|{:?}|pilot={}|seed={}|window={}|commit={}|tag={}",
-            self.base.circuit,
-            self.base.source,
-            self.base.pilot_traces,
-            self.base.seed,
-            self.window_traces,
-            self.commit_every_windows,
-            self.config_tag,
-        ))
+        slm_par::fnv1a(
+            format!(
+                "{:?}|{:?}|pilot={}|seed={}|window={}|commit={}|tag={}",
+                self.base.circuit,
+                self.base.source,
+                self.base.pilot_traces,
+                self.base.seed,
+                self.window_traces,
+                self.commit_every_windows,
+                self.config_tag,
+            )
+            .as_bytes(),
+        )
     }
-}
 
-/// FNV-1a over a parameter string — stable across runs and platforms.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
+    /// Runs (or resumes) the campaign against the checkpoint ledger in
+    /// `dir`, dying at the `crash` plan's kill sites
+    /// ([`CrashPlan::none`] for none). `tweak` applies before the pilot
+    /// and before window re-seeding. Records `stream.*`
+    /// counters/gauges (windows committed, commits, resumes, recovered
+    /// generations, bytes journaled, peak retained raw traces,
+    /// traces/sec) on top of the usual `cpa.*` stream into `obs`.
+    ///
+    /// # Errors
+    ///
+    /// Fabric construction, ledger I/O, or an incompatible checkpoint.
+    pub fn run(
+        &self,
+        dir: impl AsRef<Path>,
+        tweak: impl FnOnce(&mut FabricConfig),
+        obs: &Obs,
+        crash: &mut CrashPlan,
+    ) -> Result<StreamOutcome, StreamingError> {
+        run_planner(self, tweak, Some((dir.as_ref(), crash)), obs)
     }
-    h
 }
 
 /// Online-MTD early stop, evaluated over the persisted progress curves
@@ -258,6 +274,16 @@ pub enum StreamOutcome {
         /// Traces committed before the kill.
         traces_committed: u64,
     },
+}
+
+impl StreamOutcome {
+    /// The finished campaign, or `None` if a [`CrashPlan`] kill fired.
+    pub fn complete(self) -> Option<StreamingResult> {
+        match self {
+            StreamOutcome::Complete(r) => Some(r),
+            StreamOutcome::Killed { .. } => None,
+        }
+    }
 }
 
 /// Where in the window pipeline a [`CrashPlan`] kill fires.
@@ -357,40 +383,8 @@ impl From<std::io::Error> for StreamingError {
     }
 }
 
-/// Runs (or resumes) a streaming campaign against the checkpoint
-/// ledger in `dir`.
-///
-/// # Errors
-///
-/// Fabric construction, ledger I/O, or an incompatible checkpoint.
-pub fn run_streaming(
-    exp: &StreamingCpa,
-    dir: impl AsRef<Path>,
-) -> Result<StreamingResult, StreamingError> {
-    run_streaming_with_recorded(exp, dir, |_| {}, &Obs::null())
-}
-
-/// [`run_streaming`] with an observability handle: emits `stream.*`
-/// counters/gauges (windows committed, commits, resumes, recovered
-/// generations, bytes journaled, peak retained raw traces, traces/sec)
-/// on top of the usual `cpa.*` stream.
-///
-/// # Errors
-///
-/// Fabric construction, ledger I/O, or an incompatible checkpoint.
-pub fn run_streaming_recorded(
-    exp: &StreamingCpa,
-    dir: impl AsRef<Path>,
-    obs: &Obs,
-) -> Result<StreamingResult, StreamingError> {
-    run_streaming_with_recorded(exp, dir, |_| {}, obs)
-}
-
-/// [`run_streaming`] with a fabric-configuration hook applied before
-/// the pilot and before window re-seeding — the streaming analogue of
-/// [`run_cpa_with`](super::extensions::run_cpa_with). Callers that
-/// tweak the config must set [`StreamingCpa::config_tag`] so
-/// checkpoints from differently-tweaked campaigns are refused.
+/// [`StreamingCpa::run`] without recording or injected crashes. Kept
+/// with this signature for the benchmark harness, which calls it.
 ///
 /// # Errors
 ///
@@ -400,24 +394,10 @@ pub fn run_streaming_with(
     dir: impl AsRef<Path>,
     tweak: impl FnOnce(&mut FabricConfig),
 ) -> Result<StreamingResult, StreamingError> {
-    run_streaming_with_recorded(exp, dir, tweak, &Obs::null())
-}
-
-/// [`run_streaming_with`] with an observability handle.
-///
-/// # Errors
-///
-/// Fabric construction, ledger I/O, or an incompatible checkpoint.
-pub fn run_streaming_with_recorded(
-    exp: &StreamingCpa,
-    dir: impl AsRef<Path>,
-    tweak: impl FnOnce(&mut FabricConfig),
-    obs: &Obs,
-) -> Result<StreamingResult, StreamingError> {
-    match run_streaming_crashing(exp, dir, tweak, obs, &mut CrashPlan::none())? {
-        StreamOutcome::Complete(r) => Ok(r),
-        StreamOutcome::Killed { .. } => unreachable!("empty crash plan never kills"),
-    }
+    Ok(exp
+        .run(dir, tweak, &Obs::null(), &mut CrashPlan::none())?
+        .complete()
+        .expect("an empty crash plan never kills"))
 }
 
 /// A unit of work on the capture pipeline: the overlapped pilot or one
@@ -484,22 +464,6 @@ enum Halt {
     Killed(StreamOutcome),
 }
 
-/// The full fault-injectable engine: runs (or resumes) the campaign,
-/// dying at the [`CrashPlan`]'s kill sites.
-///
-/// # Errors
-///
-/// Fabric construction, ledger I/O, or an incompatible checkpoint.
-pub fn run_streaming_crashing(
-    exp: &StreamingCpa,
-    dir: impl AsRef<Path>,
-    tweak: impl FnOnce(&mut FabricConfig),
-    obs: &Obs,
-    crash: &mut CrashPlan,
-) -> Result<StreamOutcome, StreamingError> {
-    run_planner(exp, tweak, Some((dir.as_ref(), crash)), obs)
-}
-
 /// The one campaign planner. Splits the budget into lanes
 /// ([`StreamingCpa::plan`]), captures them on the worker pool through
 /// [`run_lane`], and folds the partials strictly in lane order, so
@@ -509,7 +473,7 @@ pub fn run_streaming_crashing(
 /// whole-window lanes, resume, a progress point and a sealed commit per
 /// commit group, [`CrashPlan`] kills, early stop and bounded look-ahead.
 /// Without one it is the sharded in-memory campaign
-/// ([`run_cpa_parallel`](super::parallel::run_cpa_parallel)): `cpa.*`
+/// ([`ParallelCpa::run`](super::parallel::ParallelCpa::run)): `cpa.*`
 /// names, one-lane commit groups, unbounded look-ahead, and progress
 /// points on the `checkpoints` trace grid. A checkpoint inside a lane
 /// is evaluated on the prefix merge of the earlier lanes and the lane's
@@ -529,8 +493,11 @@ pub(crate) fn run_planner(
         (&CPA, base.checkpoint_every())
     };
     let commit_every = exp.commit_every_windows.max(1);
-    let fingerprint = exp.fingerprint();
     let config = base.fabric_config(tweak);
+    // The tweak is opaque, so the stored fingerprint also covers the
+    // configuration it produced (every part of `FabricConfig` derives
+    // `Debug` over plain values, so the rendering is stable).
+    let fingerprint = slm_par::fnv1a_extend(exp.fingerprint(), format!("{config:?}").as_bytes());
     // The pilot is not streamed: it is cheap, deterministic, and reruns
     // identically on every resume, so its decisions never need to be
     // persisted. Sources that need no pilot statistics start capturing
@@ -576,7 +543,7 @@ pub(crate) fn run_planner(
             // ---- resume -------------------------------------------------
             if let Some(recovery) = ledger.load_latest(|bytes| read_stream_checkpoint(bytes))? {
                 let cp = recovery.state;
-                check_resumable(exp, &cp, &setup, &windows)?;
+                check_resumable(exp, fingerprint, &cp, &setup, &windows)?;
                 windows_done = cp.windows;
                 traces_done = cp.traces;
                 progress_per = cp.progress;
@@ -778,19 +745,20 @@ pub(crate) fn run_planner(
 }
 
 /// Refuses a resume checkpoint that belongs to a different campaign:
-/// another fingerprint, slot geometry, or window accounting.
+/// another fingerprint (`fingerprint` is this run's), slot geometry, or
+/// window accounting.
 fn check_resumable(
     exp: &StreamingCpa,
+    fingerprint: u64,
     cp: &StreamCheckpoint,
     setup: &CampaignSetup,
     windows: &[ShardSpec],
 ) -> Result<(), StreamingError> {
     let incompatible = |why: String| Err(StreamingError::Incompatible(why));
-    let fingerprint = exp.fingerprint();
     if cp.fingerprint != fingerprint {
         return incompatible(format!(
             "checkpoint fingerprint {:#018x} != campaign fingerprint {:#018x} \
-             (different circuit/source/seed/window/commit/tag)",
+             (different circuit/source/seed/window/commit/tag/fabric config)",
             cp.fingerprint, fingerprint
         ));
     }
@@ -888,8 +856,8 @@ mod tests {
     fn streaming_matches_itself_across_worker_counts() {
         let d1 = scratch_dir("wc1");
         let d3 = scratch_dir("wc3");
-        let r1 = run_streaming(&small_exp(21), &d1).unwrap();
-        let r3 = run_streaming(&small_exp(21).with_workers(3), &d3).unwrap();
+        let r1 = run_streaming_with(&small_exp(21), &d1, |_| {}).unwrap();
+        let r3 = run_streaming_with(&small_exp(21).with_workers(3), &d3, |_| {}).unwrap();
         assert_eq!(r1.result, r3.result);
         assert_eq!(r1.windows, 5);
         assert_eq!(r1.traces, 300);
@@ -904,14 +872,14 @@ mod tests {
     #[test]
     fn kill_and_resume_is_bit_identical() {
         let clean_dir = scratch_dir("clean");
-        let clean = run_streaming(&small_exp(22), &clean_dir).unwrap();
+        let clean = run_streaming_with(&small_exp(22), &clean_dir, |_| {}).unwrap();
 
         let dir = scratch_dir("killed");
         let exp = small_exp(22);
         let mut plan = CrashPlan::none()
             .kill_at(0, CrashSite::AfterCommit)
             .kill_at(1, CrashSite::AfterFold);
-        let k1 = run_streaming_crashing(&exp, &dir, |_| {}, &Obs::null(), &mut plan).unwrap();
+        let k1 = exp.run(&dir, |_| {}, &Obs::null(), &mut plan).unwrap();
         assert_eq!(
             k1,
             StreamOutcome::Killed {
@@ -919,7 +887,7 @@ mod tests {
                 traces_committed: 120
             }
         );
-        let k2 = run_streaming_crashing(&exp, &dir, |_| {}, &Obs::null(), &mut plan).unwrap();
+        let k2 = exp.run(&dir, |_| {}, &Obs::null(), &mut plan).unwrap();
         // Second kill fires after the fold of group 1, before its
         // commit — so only group 0's commit is durable.
         assert_eq!(
@@ -929,7 +897,7 @@ mod tests {
                 traces_committed: 120
             }
         );
-        let resumed = run_streaming(&exp, &dir).unwrap();
+        let resumed = run_streaming_with(&exp, &dir, |_| {}).unwrap();
         assert_eq!(resumed.result, clean.result);
         assert_eq!(resumed.resumed_generation, Some(1));
         assert_eq!(resumed.recovered_generations, 0);
@@ -940,12 +908,12 @@ mod tests {
     #[test]
     fn torn_commit_degrades_to_previous_generation() {
         let clean_dir = scratch_dir("torn-clean");
-        let clean = run_streaming(&small_exp(23), &clean_dir).unwrap();
+        let clean = run_streaming_with(&small_exp(23), &clean_dir, |_| {}).unwrap();
 
         let dir = scratch_dir("torn");
         let exp = small_exp(23);
         let mut plan = CrashPlan::none().kill_at(1, CrashSite::TornCommit);
-        let killed = run_streaming_crashing(&exp, &dir, |_| {}, &Obs::null(), &mut plan).unwrap();
+        let killed = exp.run(&dir, |_| {}, &Obs::null(), &mut plan).unwrap();
         assert_eq!(
             killed,
             StreamOutcome::Killed {
@@ -954,7 +922,11 @@ mod tests {
             }
         );
         let obs = Obs::memory();
-        let resumed = run_streaming_recorded(&exp, &dir, &obs).unwrap();
+        let resumed = exp
+            .run(&dir, |_| {}, &obs, &mut CrashPlan::none())
+            .unwrap()
+            .complete()
+            .unwrap();
         assert_eq!(resumed.result, clean.result);
         // Generation 2 is torn; resume fell back to generation 1.
         assert_eq!(resumed.resumed_generation, Some(1));
@@ -971,9 +943,9 @@ mod tests {
         let dir = scratch_dir("foreign");
         let exp = small_exp(24);
         let mut plan = CrashPlan::none().kill_at(0, CrashSite::AfterCommit);
-        run_streaming_crashing(&exp, &dir, |_| {}, &Obs::null(), &mut plan).unwrap();
+        exp.run(&dir, |_| {}, &Obs::null(), &mut plan).unwrap();
         // Same directory, different seed ⇒ different fingerprint.
-        let err = run_streaming(&small_exp(25), &dir).unwrap_err();
+        let err = run_streaming_with(&small_exp(25), &dir, |_| {}).unwrap_err();
         match err {
             StreamingError::Incompatible(why) => {
                 assert!(why.contains("fingerprint"), "unhelpful error: {why}")
@@ -1003,7 +975,11 @@ mod tests {
             min_margin: 0.01,
         });
         let obs = Obs::memory();
-        let r = run_streaming_recorded(&exp, &dir, &obs).unwrap();
+        let r = exp
+            .run(&dir, |_| {}, &obs, &mut CrashPlan::none())
+            .unwrap()
+            .complete()
+            .unwrap();
         assert!(r.early_stopped);
         assert!(
             r.traces < 4_000,
@@ -1050,12 +1026,16 @@ mod tests {
         // completed run sits on the extended plan's commit grid.
         let mut exp = small_exp(26);
         exp.base.traces = 240;
-        let first = run_streaming(&exp, &dir).unwrap();
+        let first = run_streaming_with(&exp, &dir, |_| {}).unwrap();
         assert_eq!(first.traces, 240);
         let mut extended = exp;
         extended.base.traces = 480;
         let obs = Obs::memory();
-        let second = run_streaming_recorded(&extended, &dir, &obs).unwrap();
+        let second = extended
+            .run(&dir, |_| {}, &obs, &mut CrashPlan::none())
+            .unwrap()
+            .complete()
+            .unwrap();
         assert_eq!(second.resumed_generation, Some(2));
         assert_eq!(second.traces, 480);
         assert_eq!(second.windows, 8);
@@ -1063,7 +1043,7 @@ mod tests {
         assert_eq!(obs.snapshot().counter("cpa.traces_absorbed"), 240);
         // The extended run's result equals a from-scratch 480-trace run.
         let fresh_dir = scratch_dir("extend-fresh");
-        let fresh = run_streaming(&extended, &fresh_dir).unwrap();
+        let fresh = run_streaming_with(&extended, &fresh_dir, |_| {}).unwrap();
         assert_eq!(second.result, fresh.result);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&fresh_dir);
@@ -1076,10 +1056,10 @@ mod tests {
         // (windows 4..5), so it is not a resume point for a larger
         // budget whose group 2 would span windows 4..6.
         let exp = small_exp(27);
-        run_streaming(&exp, &dir).unwrap();
+        run_streaming_with(&exp, &dir, |_| {}).unwrap();
         let mut extended = exp;
         extended.base.traces = 480;
-        match run_streaming(&extended, &dir).unwrap_err() {
+        match run_streaming_with(&extended, &dir, |_| {}).unwrap_err() {
             StreamingError::Incompatible(why) => {
                 assert!(why.contains("commit"), "unhelpful error: {why}")
             }

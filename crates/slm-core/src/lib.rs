@@ -14,7 +14,7 @@
 //! | Fig. 6 (TDC vs post-processed ALU) | [`experiments::ro_response`] |
 //! | Figs. 7/15 (sensitive-bit census) | [`experiments::bit_census`] |
 //! | Figs. 8/16 (per-bit variance) | [`experiments::bit_variance`] |
-//! | Figs. 9–13, 17, 18 (CPA) | [`experiments::run_cpa`] |
+//! | Figs. 9–13, 17, 18 (CPA) | [`experiments::CpaExperiment::run`] |
 //! | Stealth discussion (Sec. VI) | [`experiments::stealth_audit`] |
 //! | Structural-evasion matrix (Sec. VI) | [`experiments::stealth_matrix`] |
 //! | Strict-timing discussion (Sec. VI) | [`experiments::timing_audit`] |
@@ -31,8 +31,9 @@
 //! # Quickstart
 //!
 //! ```
-//! use slm_core::experiments::{run_cpa, CpaExperiment, SensorSource};
+//! use slm_core::experiments::{CpaExperiment, SensorSource};
 //! use slm_fabric::BenignCircuit;
+//! use slm_obs::Obs;
 //!
 //! // A miniature TDC-referenced key recovery (full-scale runs live in
 //! // the benches/examples).
@@ -44,7 +45,8 @@
 //!     pilot_traces: 200,
 //!     seed: 42,
 //! };
-//! let result = run_cpa(&exp).unwrap();
+//! // No fabric tweak; `Obs::memory()` would record the campaign's metrics.
+//! let result = exp.run(|_| {}, &Obs::null()).unwrap();
 //! assert_eq!(result.recovered_key_byte, Some(result.correct_key_byte));
 //! ```
 
@@ -55,8 +57,8 @@ pub mod experiments;
 pub mod report;
 
 pub use experiments::{
-    atpg_stimulus_study, bit_census, bit_variance, defense_matrix, floorplan_views, ro_response,
-    run_cpa, stealth_audit, stealth_matrix, timing_audit, CensusResult, CpaExperiment, CpaResult,
-    DefenseArm, DefenseMatrix, DefenseMatrixExperiment, RoResponse, SensorSource, StealthAudit,
-    StealthMatrix, TimingAudit, VarianceResult,
+    atpg_stimulus_study, bit_census, bit_variance, floorplan_views, ro_response, stealth_audit,
+    stealth_matrix, timing_audit, CensusResult, CpaExperiment, CpaResult, DefenseArm,
+    DefenseMatrix, DefenseMatrixExperiment, RoResponse, SensorSource, StealthAudit, StealthMatrix,
+    TimingAudit, VarianceResult,
 };

@@ -111,19 +111,16 @@ impl AggressorSpec {
     /// (two distinct specs get distinct lanes with overwhelming
     /// probability; the same spec always gets the same lane).
     pub fn tag(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
-        for w in [
+        [
             self.peak_current_a.to_bits(),
             self.on_ticks,
             self.period_ticks,
             self.phase_ticks,
-        ] {
-            for b in w.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        ]
+        .iter()
+        .fold(slm_par::fnv1a(&[]), |h, w| {
+            slm_par::fnv1a_extend(h, &w.to_le_bytes())
+        })
     }
 }
 

@@ -1,6 +1,6 @@
 //! A small scoped worker pool for embarrassingly parallel campaign
-//! work, plus the deterministic shard planning the campaign stack
-//! shares.
+//! work, plus the deterministic shard planning and the stable FNV-1a
+//! hash the campaign stack shares.
 //!
 //! The whole workspace is offline and dependency-free, so this crate
 //! provides the thin slice of `rayon` the campaign stack actually
@@ -282,6 +282,21 @@ pub fn mix_seed(master: u64, lane: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// 64-bit FNV-1a over `bytes` — a stable, platform-independent hash
+/// for cache keys, checksums and campaign fingerprints (not for
+/// adversarial inputs).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues the FNV-1a hash `h` over `bytes`:
+/// `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`.
+pub fn fnv1a_extend(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
 /// A deterministic split of a trace budget into fixed-size shards.
 ///
 /// The shard layout depends only on `(total, shard_size)` — never on
@@ -354,6 +369,13 @@ impl ShardPlan {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn fnv1a_known_answers() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_extend(fnv1a(b"ab"), b"c"), fnv1a(b"abc"));
+    }
 
     #[test]
     fn balanced_split_is_exact_over_edge_counts() {

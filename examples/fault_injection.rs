@@ -6,11 +6,10 @@
 //! cargo run --release --example fault_injection
 //! ```
 
-use slm_core::experiments::{
-    fault_matrix, run_fault_campaign, FaultCampaign, FaultMatrixExperiment,
-};
+use slm_core::experiments::{run_fault_campaign, FaultCampaign, FaultMatrixExperiment};
 use slm_cpa::DfaModel;
 use slm_fabric::{AggressorSpec, BenignCircuit, FabricConfig};
+use slm_obs::Obs;
 
 fn aggressor_name(aggressor: &Option<AggressorSpec>) -> String {
     match aggressor {
@@ -67,7 +66,7 @@ fn main() {
     //    alternation detector watching each aggressor row.
     println!("\n== combined SCA/FI matrix (standard sweep) ==");
     let exp = FaultMatrixExperiment::standard(11);
-    let matrix = fault_matrix(&exp).expect("fabric builds");
+    let matrix = exp.run(&Obs::null()).expect("fabric builds");
     println!(
         "{:<22} {:<14} {:>9} {:>9} {:>6} {:>9}",
         "aggressor", "defense", "flt/1k", "accepted", "key", "alarms"

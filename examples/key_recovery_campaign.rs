@@ -25,8 +25,7 @@
 //! ```
 
 use slm_core::experiments::{
-    run_cpa_parallel_with_recorded, run_streaming_with_recorded, CpaExperiment, DefenseArm,
-    ParallelCpa, SensorSource, StreamingCpa,
+    CpaExperiment, CrashPlan, DefenseArm, ParallelCpa, SensorSource, StreamingCpa,
 };
 use slm_core::report;
 use slm_fabric::{BenignCircuit, DetectorConfig, FabricConfig};
@@ -92,32 +91,26 @@ fn has_checkpoints(dir: &Path) -> bool {
 }
 
 /// Parses `--defense ARM`: the countermeasure every campaign runs
-/// under (absent = undefended, the paper's setting). Returns the arm
-/// and a stable tag for the streaming fingerprint, so checkpoints from
-/// a differently-defended run are refused on resume.
-fn defense_flag() -> Option<(u64, DefenseArm)> {
+/// under (absent = undefended, the paper's setting). The streaming
+/// engine fingerprints the defended fabric configuration, so
+/// checkpoints from a differently-defended run are refused on resume.
+fn defense_flag() -> Option<DefenseArm> {
     let mut args = std::env::args();
     while let Some(arg) = args.next() {
         if arg == "--defense" {
             let raw = args.next().expect("--defense needs an arm name");
-            let tag = raw.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-            });
-            return Some((
-                tag,
-                match raw.as_str() {
-                    "none" => DefenseArm::Undefended,
-                    "constant-fence" => DefenseArm::ConstantFence(1.5),
-                    "prng-fence" => DefenseArm::PrngFence(1.5),
-                    "adaptive-fence" => DefenseArm::AdaptiveFence(1.5),
-                    "ldo" => DefenseArm::Ldo(0.25),
-                    "jitter" => DefenseArm::ClockJitter(8),
-                    other => panic!(
-                        "--defense: unknown arm {other:?} (expected none, constant-fence, \
+            return Some(match raw.as_str() {
+                "none" => DefenseArm::Undefended,
+                "constant-fence" => DefenseArm::ConstantFence(1.5),
+                "prng-fence" => DefenseArm::PrngFence(1.5),
+                "adaptive-fence" => DefenseArm::AdaptiveFence(1.5),
+                "ldo" => DefenseArm::Ldo(0.25),
+                "jitter" => DefenseArm::ClockJitter(8),
+                other => panic!(
+                    "--defense: unknown arm {other:?} (expected none, constant-fence, \
                      prng-fence, adaptive-fence, ldo, or jitter)"
-                    ),
-                },
-            ));
+                ),
+            });
         }
     }
     None
@@ -130,7 +123,7 @@ fn main() {
     let metrics_path = metrics_flag();
     let checkpoint_dir = checkpoint_dir_flag();
     let defense = defense_flag();
-    if let Some((_, arm)) = &defense {
+    if let Some(arm) = &defense {
         println!("-- defense deployed: {} --", arm.label());
     }
     let obs = if metrics_path.is_some() {
@@ -194,7 +187,7 @@ fn main() {
         })
         .with_workers(threads);
         let tweak = |config: &mut FabricConfig| {
-            if let Some((_, arm)) = &defense {
+            if let Some(arm) = &defense {
                 // A defended run models the realistic attacker too:
                 // its stimulus pair is slightly asymmetric, which is
                 // what the defender's detector keys on.
@@ -220,13 +213,14 @@ fn main() {
                 );
                 std::process::exit(2);
             }
-            let sexp = StreamingCpa::new(exp.base)
-                .with_workers(threads)
-                .with_config_tag(defense.as_ref().map_or(0, |(tag, _)| *tag));
-            let sr = run_streaming_with_recorded(&sexp, &dir, tweak, &obs).unwrap_or_else(|e| {
-                eprintln!("error: streaming campaign failed: {e}");
-                std::process::exit(1);
-            });
+            let sexp = StreamingCpa::new(exp.base).with_workers(threads);
+            let sr = sexp
+                .run(&dir, tweak, &obs, &mut CrashPlan::none())
+                .map(|outcome| outcome.complete().expect("no kills are planned"))
+                .unwrap_or_else(|e| {
+                    eprintln!("error: streaming campaign failed: {e}");
+                    std::process::exit(1);
+                });
             if let Some(generation) = sr.resumed_generation {
                 println!(
                     "  resumed from checkpoint generation {generation}, \
@@ -245,7 +239,7 @@ fn main() {
             }
             sr.result
         } else {
-            run_cpa_parallel_with_recorded(&exp, tweak, &obs).expect("fabric builds")
+            exp.run(tweak, &obs).expect("fabric builds")
         };
         let ok = r.recovered_key_byte == Some(r.correct_key_byte);
         println!(

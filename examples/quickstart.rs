@@ -11,9 +11,7 @@
 //! cargo run --release --example quickstart -- --metrics metrics.json
 //! ```
 
-use slm_core::experiments::{
-    ro_response, run_cpa_parallel_recorded, CpaExperiment, ParallelCpa, SensorSource,
-};
+use slm_core::experiments::{ro_response, CpaExperiment, ParallelCpa, SensorSource};
 use slm_core::report;
 use slm_fabric::BenignCircuit;
 use slm_obs::{MetricsReport, Obs};
@@ -83,7 +81,7 @@ fn main() {
         seed: 2,
     })
     .with_workers(threads);
-    let result = run_cpa_parallel_recorded(&exp, &obs).expect("fabric builds");
+    let result = exp.run(|_| {}, &obs).expect("fabric builds");
     println!(
         "correct key byte {:#04x}; recovered {:?}; traces to disclosure {:?}",
         result.correct_key_byte, result.recovered_key_byte, result.mtd

@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use slm_cloud::{
-    CampaignKind, ClockContract, CloudService, SensorSource, ServiceConfig, TenantQuota,
-    TenantStatus, TenantSubmission, WorkloadSpec,
+    CampaignKind, CampaignOutcome, ClockContract, CloudService, SensorSource, ServiceConfig,
+    TenantQuota, TenantStatus, TenantSubmission, WorkloadSpec,
 };
 use slm_netlist::generators::{self, zoo};
 use slm_obs::Obs;
@@ -235,6 +235,24 @@ fn recorded_metrics_cover_every_stage() {
     assert!(frame.span("cloud.scheduler.place").is_some());
     assert!(frame.span("cloud.campaign").is_some());
     assert_eq!(report.campaigns_delivered, 2);
+}
+
+#[test]
+fn recorded_service_run_carries_campaign_metrics() {
+    // Each campaign records into its task's frame, folded into the
+    // service's: the absorb counter covers exactly the traces of the
+    // delivered CPA campaigns, and the fault shards their captures.
+    let (report, frame) = run_mix(5, 3, 2);
+    let (mut cpa_traces, mut fault_captures) = (0, 0);
+    for outcome in report.tenants.iter().flat_map(|t| &t.outcomes) {
+        match outcome {
+            CampaignOutcome::Cpa { traces, .. } => cpa_traces += traces,
+            CampaignOutcome::Fault { captures, .. } => fault_captures += captures,
+        }
+    }
+    assert!(cpa_traces > 0 && fault_captures > 0);
+    assert_eq!(frame.counter("cpa.traces_absorbed"), cpa_traces);
+    assert_eq!(frame.counter("fault.captures"), fault_captures);
 }
 
 #[test]

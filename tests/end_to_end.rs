@@ -3,7 +3,8 @@
 
 use slm_aes::soft;
 use slm_core::experiments::{
-    activity_study, ro_response, run_cpa, stealth_audit, timing_audit, CpaExperiment, SensorSource,
+    activity_study, ro_response, run_cpa_with, stealth_audit, timing_audit, CpaExperiment,
+    SensorSource,
 };
 use slm_cpa::{BitActivity, CpaAttack, LastRoundModel, PostProcessor};
 use slm_fabric::{
@@ -21,7 +22,7 @@ fn full_chain_tdc_key_recovery() {
         pilot_traces: 100,
         seed: 31,
     };
-    let r = run_cpa(&exp).unwrap();
+    let r = run_cpa_with(&exp, |_| {}).unwrap();
     assert_eq!(r.recovered_key_byte, Some(r.correct_key_byte));
     assert!(r.mtd.unwrap() <= 4_000);
     // the reported key must equal the ground-truth schedule value
@@ -187,8 +188,8 @@ fn different_seeds_different_campaign_noise_same_key() {
         pilot_traces: 50,
         seed,
     };
-    let a = run_cpa(&mk(1)).unwrap();
-    let b = run_cpa(&mk(2)).unwrap();
+    let a = run_cpa_with(&mk(1), |_| {}).unwrap();
+    let b = run_cpa_with(&mk(2), |_| {}).unwrap();
     assert_eq!(a.correct_key_byte, b.correct_key_byte);
     assert_ne!(a.final_peaks, b.final_peaks, "noise must differ per seed");
 }

@@ -7,11 +7,13 @@
 //! the checkpoint grid shows up here. The other suites bound MTDs or
 //! compare engines with each other; these digests pin the absolute
 //! bits of the serial, sharded and streaming engines for all four
-//! sensor sources (including the multi-slot single-bit selection).
+//! sensor sources (including the multi-slot single-bit selection), and
+//! of the two extensions that capture through the campaign pilot:
+//! full-key recovery and the TVLA study.
 
 use slm_core::experiments::{
-    run_cpa, run_cpa_parallel, run_streaming, CpaExperiment, CpaResult, ParallelCpa, SensorSource,
-    StreamingCpa,
+    full_key_recovery, run_cpa_parallel, run_cpa_with, run_streaming_with, tvla_study,
+    CpaExperiment, CpaResult, ParallelCpa, SensorSource, StreamingCpa,
 };
 use slm_fabric::{BenignCircuit, FabricConfig, MultiTenantFabric};
 
@@ -68,6 +70,13 @@ fn digest(r: &CpaResult) -> u64 {
     h
 }
 
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(slm_par::fnv1a(&[]), |h, w| {
+        slm_par::fnv1a_extend(h, &w.to_le_bytes())
+    })
+}
+
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("slm-engine-pins-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -102,7 +111,7 @@ fn multi_slot_source_selects_among_several_endpoints() {
     })
     .unwrap()
     .endpoints();
-    let r = run_cpa(&exp).unwrap();
+    let r = run_cpa_with(&exp, |_| {}).unwrap();
     let toggled = r.bits_of_interest.len();
     assert!(1 < toggled && toggled < all, "{toggled} of {all} endpoints");
     assert!(r.bits_of_interest.contains(&r.selected_bit.unwrap()));
@@ -110,14 +119,18 @@ fn multi_slot_source_selects_among_several_endpoints() {
 
 #[test]
 fn serial_engine_bits_are_pinned() {
-    check("run_cpa", |e| run_cpa(&e).unwrap(), SERIAL);
+    check(
+        "CpaExperiment::run",
+        |e| run_cpa_with(&e, |_| {}).unwrap(),
+        SERIAL,
+    );
 }
 
 #[test]
 fn sharded_engine_bits_are_pinned_at_1_and_2_workers() {
     for workers in [1, 2] {
         check(
-            &format!("run_cpa_parallel({workers} workers)"),
+            &format!("ParallelCpa::run({workers} workers)"),
             |base| {
                 run_cpa_parallel(&ParallelCpa {
                     base,
@@ -135,20 +148,61 @@ fn sharded_engine_bits_are_pinned_at_1_and_2_workers() {
 fn streaming_engine_bits_are_pinned_at_commit_every_1_and_2() {
     for (commit_every, pinned) in [(1, STREAMING_COMMIT_1), (2, STREAMING_COMMIT_2)] {
         check(
-            &format!("run_streaming(commit_every {commit_every})"),
+            &format!("StreamingCpa::run(commit_every {commit_every})"),
             |base| {
                 let dir = scratch_dir(&format!("{:?}-{commit_every}", base.source));
                 let exp = StreamingCpa::new(base)
                     .with_window(50)
                     .with_commit_every(commit_every)
                     .with_workers(2);
-                let r = run_streaming(&exp, &dir).unwrap();
+                let r = run_streaming_with(&exp, &dir, |_| {}).unwrap();
                 let _ = std::fs::remove_dir_all(&dir);
                 r.result
             },
             pinned,
         );
     }
+}
+
+#[test]
+fn full_key_recovery_bits_are_pinned() {
+    let actual: Vec<u64> = SOURCES
+        .iter()
+        .map(|&source| {
+            let r = full_key_recovery(BenignCircuit::DualC6288, source, 300, 100, 41).unwrap();
+            let keys = [
+                r.true_round_key,
+                r.recovered_round_key,
+                r.recovered_master_key,
+            ];
+            fnv_words(
+                keys.iter()
+                    .flatten()
+                    .map(|&b| u64::from(b))
+                    .chain([u64::from(r.master_key_correct), r.correct_bytes as u64])
+                    .chain([r.ranks.len() as u64])
+                    .chain(r.ranks.iter().map(|&k| k as u64))
+                    .chain([r.traces]),
+            )
+        })
+        .collect();
+    assert_eq!(
+        actual, FULL_KEY,
+        "full_key_recovery digests moved; actual per source {SOURCES:?}: {actual:x?}"
+    );
+}
+
+#[test]
+fn tvla_study_bits_are_pinned() {
+    let r = tvla_study(BenignCircuit::DualC6288, 300, 100, 41).unwrap();
+    let actual = fnv_words([
+        r.tdc_max_t.to_bits(),
+        r.benign_max_t.to_bits(),
+        u64::from(r.tdc_leaks),
+        u64::from(r.benign_leaks),
+        r.traces_per_class,
+    ]);
+    assert_eq!(actual, TVLA, "tvla_study digest moved: {actual:#018x}");
 }
 
 const SERIAL: [u64; 4] = [
@@ -175,3 +229,10 @@ const STREAMING_COMMIT_2: [u64; 4] = [
     0x78dcb9b0e9e1e6b7,
     0x18507cf8754f49de,
 ];
+const FULL_KEY: [u64; 4] = [
+    0xe6690dd29fa7ba0d,
+    0xe6690dd29fa7ba0d,
+    0x45c8baaf97125a53,
+    0x0e76fb88adaca266,
+];
+const TVLA: u64 = 0xdd819c814c43eaf8;

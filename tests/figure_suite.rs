@@ -4,7 +4,7 @@
 
 use slm_core::experiments::{
     activity_study, architecture_study, atpg_stimulus_study, fence_study, floorplan_views,
-    full_key_recovery, ro_response, run_cpa, stealth_audit, timing_audit, tvla_study,
+    full_key_recovery, ro_response, run_cpa_with, stealth_audit, timing_audit, tvla_study,
     CpaExperiment, SensorSource,
 };
 use slm_fabric::{BenignCircuit, FenceConfig};
@@ -75,14 +75,17 @@ fn fig09_fig11_tdc_attacks_fast() {
         (SensorSource::TdcAll, "fig09"),
         (SensorSource::TdcSingleBit(None), "fig11"),
     ] {
-        let r = run_cpa(&CpaExperiment {
-            circuit: BenignCircuit::Alu192,
-            source,
-            traces: 6_000,
-            checkpoints: 10,
-            pilot_traces: 60,
-            seed: 24,
-        })
+        let r = run_cpa_with(
+            &CpaExperiment {
+                circuit: BenignCircuit::Alu192,
+                source,
+                traces: 6_000,
+                checkpoints: 10,
+                pilot_traces: 60,
+                seed: 24,
+            },
+            |_| {},
+        )
         .unwrap();
         assert_eq!(
             r.recovered_key_byte,
@@ -100,14 +103,17 @@ fn fig10_fig12_benign_alu_attacks_slow_but_succeed() {
         SensorSource::BenignHammingWeight,
         SensorSource::BenignSingleBit(None),
     ] {
-        let r = run_cpa(&CpaExperiment {
-            circuit: BenignCircuit::Alu192,
-            source,
-            traces: 300_000,
-            checkpoints: 30,
-            pilot_traces: 500,
-            seed: 25,
-        })
+        let r = run_cpa_with(
+            &CpaExperiment {
+                circuit: BenignCircuit::Alu192,
+                source,
+                traces: 300_000,
+                checkpoints: 30,
+                pilot_traces: 500,
+                seed: 25,
+            },
+            |_| {},
+        )
         .unwrap();
         assert_eq!(r.recovered_key_byte, Some(r.correct_key_byte));
         // orders of magnitude slower than the TDC
@@ -126,14 +132,17 @@ fn fig17_fig18_benign_c6288_attacks_succeed() {
         (SensorSource::BenignHammingWeight, 800_000),
         (SensorSource::BenignSingleBit(None), 500_000),
     ] {
-        let r = run_cpa(&CpaExperiment {
-            circuit: BenignCircuit::DualC6288,
-            source,
-            traces,
-            checkpoints: 30,
-            pilot_traces: 500,
-            seed: 26,
-        })
+        let r = run_cpa_with(
+            &CpaExperiment {
+                circuit: BenignCircuit::DualC6288,
+                source,
+                traces,
+                checkpoints: 30,
+                pilot_traces: 500,
+                seed: 26,
+            },
+            |_| {},
+        )
         .unwrap();
         assert_eq!(r.recovered_key_byte, Some(r.correct_key_byte));
     }
@@ -209,7 +218,7 @@ fn extension_rds_outperforms_tdc() {
         pilot_traces: 60,
         seed: 33,
     };
-    let tdc = run_cpa(&base).unwrap();
+    let tdc = run_cpa_with(&base, |_| {}).unwrap();
     let rds = run_cpa_with(&base, |config| {
         config.tdc = *slm_sensors::RdsSensor::paper_150mhz(0x7d5).config();
     })

@@ -8,10 +8,7 @@
 //! counters, same gauges, same histograms, same span counts.
 
 use proptest::prelude::*;
-use slm_core::experiments::{
-    run_cpa_parallel_recorded, run_fault_campaign_recorded, CpaExperiment, FaultCampaign,
-    ParallelCpa, SensorSource,
-};
+use slm_core::experiments::{CpaExperiment, FaultCampaign, ParallelCpa, SensorSource};
 use slm_cpa::DfaModel;
 use slm_fabric::{AggressorSpec, BenignCircuit, FabricConfig};
 use slm_obs::{MetricsFrame, Obs};
@@ -30,7 +27,7 @@ fn run(seed: u64, traces: u64, shard_traces: u64, workers: usize) -> MetricsFram
         workers,
     };
     let obs = Obs::memory();
-    run_cpa_parallel_recorded(&exp, &obs).expect("fabric builds");
+    exp.run(|_| {}, &obs).expect("fabric builds");
     obs.snapshot()
 }
 
@@ -78,7 +75,7 @@ proptest! {
                 workers,
             };
             let obs = Obs::memory();
-            run_fault_campaign_recorded(&exp, &obs).expect("fabric builds");
+            exp.run(&obs).expect("fabric builds");
             obs.snapshot()
         };
         let serial = run(1).deterministic();

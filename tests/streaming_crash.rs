@@ -7,11 +7,11 @@
 //! traces than one window, regardless of the trace budget.
 
 use slm_core::experiments::{
-    run_streaming, run_streaming_crashing, run_streaming_recorded, CpaExperiment, CpaResult,
-    CrashPlan, CrashSite, EarlyStop, SensorSource, StreamOutcome, StreamingCpa, StreamingError,
+    run_streaming_with, CpaExperiment, CpaResult, CrashPlan, CrashSite, DefenseArm, EarlyStop,
+    SensorSource, StreamOutcome, StreamingCpa, StreamingError,
 };
 use slm_cpa::store::{read_stream_checkpoint, write_stream_checkpoint, CheckpointLedger};
-use slm_fabric::BenignCircuit;
+use slm_fabric::{BenignCircuit, DetectorConfig, FabricConfig};
 use slm_obs::Obs;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -43,7 +43,7 @@ fn reference() -> &'static CpaResult {
     static REF: OnceLock<CpaResult> = OnceLock::new();
     REF.get_or_init(|| {
         let dir = scratch_dir("reference");
-        let r = run_streaming(&campaign(), &dir).unwrap();
+        let r = run_streaming_with(&campaign(), &dir, |_| {}).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
         r.result
     })
@@ -59,7 +59,7 @@ fn run_until_complete(
 ) -> (CpaResult, u64, u64) {
     let mut kills = 0u64;
     loop {
-        match run_streaming_crashing(exp, dir, |_| {}, &Obs::null(), plan).unwrap() {
+        match exp.run(dir, |_| {}, &Obs::null(), plan).unwrap() {
             StreamOutcome::Complete(r) => return (r.result, kills, r.recovered_generations),
             StreamOutcome::Killed { .. } => kills += 1,
         }
@@ -132,7 +132,7 @@ fn bit_flip_in_newest_generation_falls_back_gracefully() {
     let exp = campaign();
     // Die right after the third commit, leaving generations 1..=3.
     let mut plan = CrashPlan::none().kill_at(2, CrashSite::AfterCommit);
-    let killed = run_streaming_crashing(&exp, &dir, |_| {}, &Obs::null(), &mut plan).unwrap();
+    let killed = exp.run(&dir, |_| {}, &Obs::null(), &mut plan).unwrap();
     assert!(matches!(killed, StreamOutcome::Killed { .. }));
     // Corrupt the newest generation on disk with a single bit flip.
     let mut gens: Vec<_> = std::fs::read_dir(&dir)
@@ -148,7 +148,11 @@ fn bit_flip_in_newest_generation_falls_back_gracefully() {
     // Resume: the flipped generation is skipped, generation 2 loads,
     // the recovery counter ticks, and the result is still identical.
     let obs = Obs::memory();
-    let resumed = run_streaming_recorded(&exp, &dir, &obs).unwrap();
+    let resumed = exp
+        .run(&dir, |_| {}, &obs, &mut CrashPlan::none())
+        .unwrap()
+        .complete()
+        .unwrap();
     assert_eq!(&resumed.result, reference());
     assert_eq!(resumed.recovered_generations, 1);
     assert_eq!(obs.snapshot().counter("stream.recovered_generations"), 1);
@@ -161,7 +165,7 @@ fn sealed_checkpoint_with_nan_peak_falls_back_to_previous_generation() {
     let exp = campaign();
     // Die right after the second commit, leaving generations 1 and 2.
     let mut plan = CrashPlan::none().kill_at(1, CrashSite::AfterCommit);
-    let killed = run_streaming_crashing(&exp, &dir, |_| {}, &Obs::null(), &mut plan).unwrap();
+    let killed = exp.run(&dir, |_| {}, &Obs::null(), &mut plan).unwrap();
     assert!(matches!(killed, StreamOutcome::Killed { .. }));
     // A correctly sealed generation 3 whose first progress point holds
     // a NaN peak: the seal cannot catch it, the reader must.
@@ -183,7 +187,7 @@ fn sealed_checkpoint_with_nan_peak_falls_back_to_previous_generation() {
         stable_commits: 2,
         min_margin: 2.0,
     };
-    let resumed = run_streaming(&exp.with_early_stop(rule), &dir).unwrap();
+    let resumed = run_streaming_with(&exp.with_early_stop(rule), &dir, |_| {}).unwrap();
     assert_eq!(resumed.resumed_generation, Some(2));
     assert_eq!(resumed.recovered_generations, 1);
     assert!(!resumed.early_stopped);
@@ -196,11 +200,11 @@ fn torn_first_commit_errors_instead_of_silently_restarting() {
     let dir = scratch_dir("torn-first");
     let exp = campaign();
     let mut plan = CrashPlan::none().kill_at(0, CrashSite::TornCommit);
-    run_streaming_crashing(&exp, &dir, |_| {}, &Obs::null(), &mut plan).unwrap();
+    exp.run(&dir, |_| {}, &Obs::null(), &mut plan).unwrap();
     // The only generation on disk is torn: every checkpoint is
     // unreadable, and restarting from zero must be an explicit
     // operator decision, not a silent default.
-    match run_streaming(&exp, &dir).unwrap_err() {
+    match run_streaming_with(&exp, &dir, |_| {}).unwrap_err() {
         StreamingError::Io(e) => {
             let msg = e.to_string();
             assert!(msg.contains("no loadable checkpoint generation"), "{msg}");
@@ -209,8 +213,57 @@ fn torn_first_commit_errors_instead_of_silently_restarting() {
     }
     // The operator clears the ledger; the fresh run matches.
     std::fs::remove_dir_all(&dir).unwrap();
-    let fresh = run_streaming(&exp, &dir).unwrap();
+    let fresh = run_streaming_with(&exp, &dir, |_| {}).unwrap();
     assert_eq!(&fresh.result, reference());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A tweak deploying `arm` with a fixed detector and seed.
+fn defended(arm: DefenseArm) -> impl Fn(&mut FabricConfig) {
+    move |config| {
+        config.defense = arm.deployment(
+            DetectorConfig {
+                window_ticks: 4098,
+                alarm_threshold: 0.05,
+            },
+            7,
+        )
+    }
+}
+
+#[test]
+fn resume_under_another_defense_is_refused() {
+    // Neither run tags its tweak (`config_tag` stays 0), yet a ledger
+    // committed under the PRNG fence must not resume into an
+    // LDO-defended campaign: merging would mix two fabrics' traces.
+    let dir = scratch_dir("other-defense");
+    let exp = campaign();
+    let fence = DefenseArm::PrngFence(1.5);
+    let mut plan = CrashPlan::none().kill_at(0, CrashSite::AfterCommit);
+    let killed = exp
+        .run(&dir, defended(fence), &Obs::null(), &mut plan)
+        .unwrap();
+    assert_eq!(
+        killed,
+        StreamOutcome::Killed {
+            windows_committed: 1,
+            traces_committed: 60
+        }
+    );
+    match run_streaming_with(&exp, &dir, defended(DefenseArm::Ldo(0.25))) {
+        Err(StreamingError::Incompatible(why)) => {
+            assert!(why.contains("fingerprint"), "unhelpful error: {why}")
+        }
+        Err(other) => panic!("expected Incompatible, got {other:?}"),
+        Ok(r) => panic!(
+            "resumed generation {:?} into another defense",
+            r.resumed_generation
+        ),
+    }
+    // The same defense still resumes from the committed generation.
+    let resumed = run_streaming_with(&exp, &dir, defended(fence)).unwrap();
+    assert_eq!(resumed.resumed_generation, Some(1));
+    assert_eq!(resumed.traces, 240);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -230,7 +283,11 @@ fn raw_trace_retention_is_bounded_by_window_not_budget() {
         .with_commit_every(4)
         .with_workers(2);
         let obs = Obs::memory();
-        let r = run_streaming_recorded(&exp, &dir, &obs).unwrap();
+        let r = exp
+            .run(&dir, |_| {}, &obs, &mut CrashPlan::none())
+            .unwrap()
+            .complete()
+            .unwrap();
         let _ = std::fs::remove_dir_all(&dir);
         (r, obs.snapshot())
     };
@@ -262,7 +319,7 @@ fn multi_slot_single_bit_campaign_survives_kills() {
     .with_commit_every(1)
     .with_workers(2);
     let clean_dir = scratch_dir("slots-clean");
-    let clean = run_streaming(&exp, &clean_dir).unwrap();
+    let clean = run_streaming_with(&exp, &clean_dir, |_| {}).unwrap();
     let dir = scratch_dir("slots-killed");
     let mut plan = CrashPlan::none()
         .kill_at(1, CrashSite::AfterCapture)
@@ -290,9 +347,10 @@ fn streaming_final_state_matches_parallel_runner() {
         seed: 44,
     };
     let dir = scratch_dir("vs-parallel");
-    let streamed = run_streaming(
+    let streamed = run_streaming_with(
         &StreamingCpa::new(base).with_window(75).with_workers(2),
         &dir,
+        |_| {},
     )
     .unwrap();
     let parallel = slm_core::experiments::run_cpa_parallel(&slm_core::experiments::ParallelCpa {
@@ -327,7 +385,12 @@ fn default_cadence_is_worker_invariant_with_capture_ahead() {
     let run = |workers: usize| {
         let dir = scratch_dir(&format!("cadence-{workers}"));
         let obs = Obs::memory();
-        let r = run_streaming_recorded(&campaign().with_workers(workers), &dir, &obs).unwrap();
+        let r = campaign()
+            .with_workers(workers)
+            .run(&dir, |_| {}, &obs, &mut CrashPlan::none())
+            .unwrap()
+            .complete()
+            .unwrap();
         let _ = std::fs::remove_dir_all(&dir);
         (r, deterministic_frame(&obs))
     };
@@ -366,7 +429,11 @@ fn early_stop_discards_windows_captured_ahead() {
             min_margin: 0.01,
         });
         let obs = Obs::memory();
-        let r = run_streaming_recorded(&exp, &dir, &obs).unwrap();
+        let r = exp
+            .run(&dir, |_| {}, &obs, &mut CrashPlan::none())
+            .unwrap()
+            .complete()
+            .unwrap();
         let _ = std::fs::remove_dir_all(&dir);
         (r, deterministic_frame(&obs))
     };
@@ -390,7 +457,7 @@ fn kill_with_successors_captured_ahead_resumes_bit_identically() {
         let dir = scratch_dir(&format!("ahead-{site:?}"));
         let exp = campaign().with_workers(4);
         let mut plan = CrashPlan::none().kill_at(1, site);
-        let killed = run_streaming_crashing(&exp, &dir, |_| {}, &Obs::null(), &mut plan).unwrap();
+        let killed = exp.run(&dir, |_| {}, &Obs::null(), &mut plan).unwrap();
         assert_eq!(
             killed,
             StreamOutcome::Killed {
@@ -398,7 +465,7 @@ fn kill_with_successors_captured_ahead_resumes_bit_identically() {
                 traces_committed: 60
             }
         );
-        let resumed = run_streaming(&exp, &dir).unwrap();
+        let resumed = run_streaming_with(&exp, &dir, |_| {}).unwrap();
         assert_eq!(resumed.resumed_generation, Some(1));
         assert_eq!(&resumed.result, reference());
         let _ = std::fs::remove_dir_all(&dir);
@@ -412,10 +479,14 @@ fn fully_committed_ledger_still_runs_the_overlapped_pilot() {
     // result still needs the pilot's bits of interest.
     let dir = scratch_dir("complete-resume");
     let exp = campaign().with_workers(2);
-    let fresh = run_streaming(&exp, &dir).unwrap();
+    let fresh = run_streaming_with(&exp, &dir, |_| {}).unwrap();
     assert!(!fresh.result.bits_of_interest.is_empty());
     let obs = Obs::memory();
-    let again = run_streaming_recorded(&exp, &dir, &obs).unwrap();
+    let again = exp
+        .run(&dir, |_| {}, &obs, &mut CrashPlan::none())
+        .unwrap()
+        .complete()
+        .unwrap();
     assert_eq!(again.resumed_generation, Some(4));
     assert_eq!(again.result, fresh.result);
     let frame = obs.snapshot();
