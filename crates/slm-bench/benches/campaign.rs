@@ -22,15 +22,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
+use slm_bench::quick;
 use slm_core::experiments::{run_cpa_parallel, CpaExperiment, ParallelCpa, SensorSource};
 use slm_fabric::BenignCircuit;
 use slm_obs::Obs;
 use std::hint::black_box;
 use std::sync::OnceLock;
-
-fn quick() -> bool {
-    std::env::var("SLM_BENCH_QUICK").is_ok()
-}
 
 /// Pre-optimization serial throughput (PR 7 baseline), traces/sec.
 const BASELINE_SERIAL_TPS: f64 = 14_600.0;
@@ -217,10 +214,7 @@ fn campaign_scaling(c: &mut Criterion) {
             deterministic,
             rows,
         };
-        let json = serde_json::to_string_pretty(&record)
-            .expect("bench record serialization is infallible");
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_campaign.json");
-        std::fs::write(path, json + "\n").expect("workspace root is writable");
+        let path = slm_bench::write_bench_json("BENCH_campaign.json", &record);
         println!("[campaign] wrote {path}");
     });
 

@@ -9,6 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
+use slm_bench::quick;
 use slm_core::experiments::{
     run_cpa_with, CpaExperiment, DefenseArm, DefenseMatrixExperiment, SensorSource,
 };
@@ -16,10 +17,6 @@ use slm_fabric::{BenignCircuit, DetectorConfig};
 use slm_obs::Obs;
 use std::hint::black_box;
 use std::sync::OnceLock;
-
-fn quick() -> bool {
-    std::env::var("SLM_BENCH_QUICK").is_ok()
-}
 
 #[derive(Debug, Serialize)]
 struct DefenseRow {
@@ -153,10 +150,7 @@ fn defense_overhead(c: &mut Criterion) {
             fence_mtd_monotonic: monotonic,
             rows,
         };
-        let json = serde_json::to_string_pretty(&record)
-            .expect("bench record serialization is infallible");
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_defense.json");
-        std::fs::write(path, json + "\n").expect("workspace root is writable");
+        let path = slm_bench::write_bench_json("BENCH_defense.json", &record);
         println!("[defense] wrote {path}");
     });
 

@@ -11,16 +11,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
+use slm_bench::quick;
 use slm_core::experiments::{run_fault_campaign, DefenseArm, FaultCampaign, FaultMatrixExperiment};
 use slm_cpa::DfaModel;
 use slm_fabric::{AggressorSpec, BenignCircuit, FabricConfig};
 use slm_obs::Obs;
 use std::hint::black_box;
 use std::sync::OnceLock;
-
-fn quick() -> bool {
-    std::env::var("SLM_BENCH_QUICK").is_ok()
-}
 
 fn aggressor_label(aggressor: &Option<AggressorSpec>) -> String {
     match aggressor {
@@ -156,10 +153,7 @@ fn fault_matrix_once(c: &mut Criterion) {
                 })
                 .collect(),
         };
-        let json = serde_json::to_string_pretty(&record)
-            .expect("bench record serialization is infallible");
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fault.json");
-        std::fs::write(path, json + "\n").expect("workspace root is writable");
+        let path = slm_bench::write_bench_json("BENCH_fault.json", &record);
         println!("[faults] wrote {path}");
     });
 

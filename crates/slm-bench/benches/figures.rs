@@ -7,7 +7,7 @@
 //! how much, MTD ordering) matches — see EXPERIMENTS.md for the mapping.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use slm_bench::run_and_report;
+use slm_bench::{quick, run_and_report};
 use slm_core::experiments::{
     activity_study, atpg_stimulus_study, floorplan_views, ro_response, stealth_audit, timing_audit,
     CpaExperiment, SensorSource,
@@ -16,10 +16,6 @@ use slm_core::report;
 use slm_fabric::{BenignCircuit, FabricConfig, MultiTenantFabric};
 use std::hint::black_box;
 use std::sync::OnceLock;
-
-fn quick() -> bool {
-    std::env::var("SLM_BENCH_QUICK").is_ok()
-}
 
 /// Trace budget helper: full bench scale unless SLM_BENCH_QUICK is set.
 fn budget(full: u64) -> u64 {

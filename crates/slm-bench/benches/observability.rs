@@ -15,15 +15,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
+use slm_bench::quick;
 use slm_core::experiments::{run_cpa_parallel, CpaExperiment, ParallelCpa, SensorSource};
 use slm_fabric::BenignCircuit;
 use slm_obs::Obs;
 use std::hint::black_box;
 use std::sync::OnceLock;
-
-fn quick() -> bool {
-    std::env::var("SLM_BENCH_QUICK").is_ok()
-}
 
 /// Obs calls per captured trace on the CPA path: one capture counter,
 /// one accumulator counter — generously doubled for checkpoint-heavy
@@ -145,10 +142,7 @@ fn observability_overhead(c: &mut Criterion) {
             enabled_budget: ENABLED_BUDGET,
             deterministic,
         };
-        let json = serde_json::to_string_pretty(&record)
-            .expect("bench record serialization is infallible");
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-        std::fs::write(path, json + "\n").expect("workspace root is writable");
+        let path = slm_bench::write_bench_json("BENCH_obs.json", &record);
         println!("[obs] wrote {path}");
     });
 

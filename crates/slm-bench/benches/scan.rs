@@ -10,6 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
+use slm_bench::quick;
 use slm_checker::{CheckerConfig, PassManager, ScanCache, TaintConfig};
 use slm_netlist::generators::{
     alu, array_multiplier, carry_sensor, kogge_stone_adder, tdc_delay_line, wallace_multiplier, zoo,
@@ -18,10 +19,6 @@ use slm_netlist::Netlist;
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::OnceLock;
-
-fn quick() -> bool {
-    std::env::var("SLM_BENCH_QUICK").is_ok()
-}
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("slm-bench-scan-{}-{tag}", std::process::id()));
@@ -141,10 +138,7 @@ fn scan_scheduling(c: &mut Criterion) {
     static ONCE: OnceLock<()> = OnceLock::new();
     ONCE.get_or_init(|| {
         let record = scan_study();
-        let json = serde_json::to_string_pretty(&record)
-            .expect("bench record serialization is infallible");
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scan.json");
-        std::fs::write(path, json + "\n").expect("workspace root is writable");
+        let path = slm_bench::write_bench_json("BENCH_scan.json", &record);
         println!("[scan] wrote {path}");
     });
 

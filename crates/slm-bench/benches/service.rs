@@ -10,6 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
+use slm_bench::quick;
 use slm_checker::ScanCache;
 use slm_cloud::{
     AdmissionGate, CampaignKind, CloudService, SensorSource, ServiceConfig, TenantQuota,
@@ -18,10 +19,6 @@ use slm_cloud::{
 use slm_netlist::generators;
 use std::hint::black_box;
 use std::sync::OnceLock;
-
-fn quick() -> bool {
-    std::env::var("SLM_BENCH_QUICK").is_ok()
-}
 
 #[derive(Debug, Serialize)]
 struct ServiceBench {
@@ -166,10 +163,7 @@ fn service_traffic(c: &mut Criterion) {
     static ONCE: OnceLock<()> = OnceLock::new();
     ONCE.get_or_init(|| {
         let record = service_study();
-        let json = serde_json::to_string_pretty(&record)
-            .expect("bench record serialization is infallible");
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-        std::fs::write(path, json + "\n").expect("workspace root is writable");
+        let path = slm_bench::write_bench_json("BENCH_service.json", &record);
         println!("[service] wrote {path}");
     });
 

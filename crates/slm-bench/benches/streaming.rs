@@ -19,6 +19,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
+use slm_bench::quick;
 use slm_core::experiments::{
     run_cpa_parallel, run_streaming_with, CpaExperiment, CrashPlan, CrashSite, DefenseArm,
     EarlyStop, ParallelCpa, SensorSource, StreamOutcome, StreamingCpa,
@@ -28,10 +29,6 @@ use slm_obs::Obs;
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::OnceLock;
-
-fn quick() -> bool {
-    std::env::var("SLM_BENCH_QUICK").is_ok()
-}
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("slm-bench-stream-{}-{tag}", std::process::id()));
@@ -302,10 +299,7 @@ fn streaming_engine(c: &mut Criterion) {
             rows,
             engine_parity,
         };
-        let json = serde_json::to_string_pretty(&record)
-            .expect("bench record serialization is infallible");
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_streaming.json");
-        std::fs::write(path, json + "\n").expect("workspace root is writable");
+        let path = slm_bench::write_bench_json("BENCH_streaming.json", &record);
         println!("[streaming] wrote {path}");
     });
 

@@ -9,7 +9,27 @@
 //!    kernel behind the figure, so regressions in the simulation stack
 //!    show up as bench deltas.
 
+use serde::Serialize;
 use slm_core::experiments::{run_cpa_with, CpaExperiment, CpaResult};
+
+/// Whether `SLM_BENCH_QUICK` asks for the reduced CI budgets.
+pub fn quick() -> bool {
+    std::env::var("SLM_BENCH_QUICK").is_ok()
+}
+
+/// Writes `record` as pretty JSON to `file` at the workspace root and
+/// returns the path written.
+///
+/// # Panics
+///
+/// When the workspace root is not writable.
+pub fn write_bench_json(file: &str, record: &impl Serialize) -> String {
+    let json =
+        serde_json::to_string_pretty(record).expect("bench record serialization is infallible");
+    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(&path, json + "\n").expect("workspace root is writable");
+    path
+}
 
 /// Runs a CPA experiment and prints the figure-style summary.
 pub fn run_and_report(label: &str, exp: &CpaExperiment) -> CpaResult {

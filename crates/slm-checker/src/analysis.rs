@@ -11,8 +11,7 @@ use std::sync::OnceLock;
 /// fanout index (the fix for the old per-chain-step gate rescans), the
 /// complete SCC loop list, and the buffer-collapsed driver map. Facts
 /// only some pipelines need (logic depth) are computed lazily, at most
-/// once, behind a [`OnceLock`] — safe to race from a parallel pass
-/// level.
+/// once, behind a [`OnceLock`], so the context stays `Sync`.
 pub struct Analysis<'a> {
     nl: &'a Netlist,
     fanout: FanoutIndex,

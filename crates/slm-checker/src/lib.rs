@@ -50,11 +50,11 @@
 //!   state readable at tenant outputs (the paper's TDC readout model).
 //!
 //! Passes declare dependencies ([`Pass::depends_on`]); the manager
-//! schedules independent passes of a level in parallel
-//! ([`PassManager::run_parallel`]) and replays per-pass results from a
+//! runs them in dependency order and replays per-pass results from a
 //! content-addressed [`ScanCache`] ([`PassManager::run_cached`],
 //! [`PassManager::run_batch`]) keyed by FNV hashes of the netlist and
-//! config — the admission-at-traffic fast path.
+//! config — the admission-at-traffic fast path. Admission runs the
+//! combined pipeline, [`PassManager::full`].
 //!
 //! The headline result of the reproduction's stealth experiment
 //! (`slm-core`'s detection matrix): every malicious-by-construction
@@ -115,18 +115,6 @@ pub fn check_structure(nl: &Netlist) -> CheckReport {
 /// Runs the full structural pipeline with explicit thresholds.
 pub fn check_structure_with(nl: &Netlist, config: &CheckerConfig) -> CheckReport {
     PassManager::structural().run(nl, config)
-}
-
-/// Runs the combined structural + semantic pipeline with default
-/// thresholds. This is what `slm-scan` runs at admission.
-pub fn check_full(nl: &Netlist) -> CheckReport {
-    check_full_with(nl, &CheckerConfig::default())
-}
-
-/// Runs the combined structural + semantic pipeline with explicit
-/// thresholds.
-pub fn check_full_with(nl: &Netlist, config: &CheckerConfig) -> CheckReport {
-    PassManager::full().run(nl, config)
 }
 
 #[cfg(test)]
@@ -396,20 +384,20 @@ mod tests {
             },
             ..CheckerConfig::default()
         };
-        let r = check_full_with(&nl, &config);
+        let r = PassManager::full().run(&nl, &config);
         assert!(r.flagged(CheckKind::ClockTaint), "{r:?}");
         assert!(r.flagged(CheckKind::SwitchingActivity), "{r:?}");
         assert!(r.flagged(CheckKind::ObservationBandwidth), "{r:?}");
         assert_eq!(r.max_severity(), Some(Severity::Reject));
         // without the contract declaration the taint seed disappears
-        let r = check_full(&nl);
+        let r = PassManager::full().run(&nl, &CheckerConfig::default());
         assert!(!r.flagged(CheckKind::ClockTaint), "{r:?}");
     }
 
     #[test]
     fn semantic_suite_stays_quiet_on_benign_designs() {
         for nl in [alu(192).unwrap(), array_multiplier(16).unwrap(), c17()] {
-            let r = check_full(&nl);
+            let r = PassManager::full().run(&nl, &CheckerConfig::default());
             assert!(
                 r.active().all(|f| f.severity == Severity::Info),
                 "{} semantically flagged: {:?}",
@@ -443,20 +431,5 @@ mod tests {
         let miss_before = cache.misses();
         let _ = pm.run_cached(&nl, &strict, &cache);
         assert!(cache.misses() > miss_before);
-    }
-
-    #[test]
-    fn parallel_full_scan_matches_serial() {
-        let pm = PassManager::full();
-        let config = CheckerConfig::default();
-        for nl in [
-            tdc_delay_line(64).unwrap(),
-            ring_oscillator(8).unwrap(),
-            slm_netlist::generators::carry_sensor(32, 4).unwrap(),
-        ] {
-            let serial = pm.run(&nl, &config);
-            let par = pm.run_parallel(&nl, &config, 4);
-            assert_eq!(serial.to_json(), par.to_json(), "{}", nl.name());
-        }
     }
 }

@@ -2,12 +2,11 @@
 //!
 //! Passes declare data dependencies on other passes by name
 //! ([`Pass::depends_on`]); the [`PassManager`] topologically groups
-//! them into *levels* and can run the independent passes of a level in
-//! parallel ([`PassManager::run_parallel`]) or replay per-pass results
-//! from a content-addressed [`ScanCache`]
+//! them into *levels* (printed by `slm-scan --list-passes`) and can
+//! replay per-pass results from a content-addressed [`ScanCache`]
 //! ([`PassManager::run_cached`]). Every execution mode concatenates
 //! per-pass findings in registration order, so reports are bit-identical
-//! across serial, parallel and cached runs — the property the scan
+//! across plain, cached and batched runs — the property the scan
 //! determinism proptests pin.
 
 use crate::analysis::Analysis;
@@ -24,8 +23,7 @@ use slm_netlist::Netlist;
 /// context, so a [`PassManager`] can run any subset in any order that
 /// respects [`Pass::depends_on`]. The `Send + Sync` bound is what lets
 /// one manager scan many designs concurrently
-/// ([`PassManager::run_many`]) and fan independent passes of one scan
-/// across threads ([`PassManager::run_parallel`]).
+/// ([`PassManager::run_batch`]).
 pub trait Pass: Send + Sync {
     /// Short stable identifier (used in findings, suppressions, cache
     /// keys and the detection matrix).
@@ -38,8 +36,8 @@ pub trait Pass: Send + Sync {
     ///
     /// Dependencies bind to *earlier-registered* passes only; a name
     /// that is not registered (or registered later) resolves to an
-    /// empty finding list. This keeps serial registration-order
-    /// execution and level-parallel execution observably identical.
+    /// empty finding list. This keeps registration-order and
+    /// level-order execution observably identical.
     fn depends_on(&self) -> &'static [&'static str] {
         &[]
     }
@@ -59,8 +57,8 @@ pub trait Pass: Send + Sync {
 /// [`Pass::run`].
 ///
 /// Only the passes named in [`Pass::depends_on`] are visible — never
-/// "whatever happened to run earlier" — which is what makes serial and
-/// level-parallel scheduling produce identical reports.
+/// "whatever happened to run earlier" — which is what makes reports
+/// independent of the order in which a level's passes run.
 pub struct Prior<'a> {
     entries: Vec<(&'static str, &'a [Finding])>,
 }
@@ -154,8 +152,7 @@ impl PassManager {
 
     /// Groups pass indices into dependency levels: every pass sits one
     /// level below the deepest of its (earlier-registered) dependencies,
-    /// and passes within a level are independent — the unit of
-    /// intra-scan parallelism.
+    /// and passes within a level are independent of each other.
     fn levels(&self) -> Vec<Vec<usize>> {
         let n = self.passes.len();
         let mut level = vec![0usize; n];
@@ -200,16 +197,14 @@ impl PassManager {
     ///
     /// `cache` replays per-pass findings keyed by netlist + config
     /// content hashes; when *every* pass hits, the report is assembled
-    /// without even building the [`Analysis`]. `workers != 1` fans the
-    /// independent passes of each dependency level over a `slm-par`
-    /// pool. Findings are always concatenated in registration order and
-    /// suppressed afterwards, so all modes emit bit-identical reports.
+    /// without even building the [`Analysis`]. Findings are always
+    /// concatenated in registration order and suppressed afterwards, so
+    /// all modes emit bit-identical reports.
     pub(crate) fn execute(
         &self,
         nl: &Netlist,
         config: &CheckerConfig,
         cache: Option<&ScanCache>,
-        workers: usize,
         obs: &slm_obs::Obs,
     ) -> CheckReport {
         let n = self.passes.len();
@@ -245,32 +240,12 @@ impl PassManager {
             if pending.is_empty() {
                 continue;
             }
-            if workers == 1 || pending.len() == 1 {
-                for &i in &pending {
-                    let _span = obs.span(self.passes[i].name());
-                    let prior = self.prior_for(i, &results);
-                    let mut out = Vec::new();
-                    self.passes[i].run(&cx, config, &prior, &mut out);
-                    results[i] = Some(out);
-                }
-            } else {
-                // Obs frames are forked per pass and absorbed in
-                // registration order, keeping metrics worker-count
-                // invariant.
-                let ran = slm_par::par_map(workers, &pending, |&i| {
-                    let pass_obs = obs.fork();
-                    let mut out = Vec::new();
-                    {
-                        let _span = pass_obs.span(self.passes[i].name());
-                        let prior = self.prior_for(i, &results);
-                        self.passes[i].run(&cx, config, &prior, &mut out);
-                    }
-                    (out, pass_obs.snapshot())
-                });
-                for (&i, (out, frame)) in pending.iter().zip(ran) {
-                    obs.absorb(&frame);
-                    results[i] = Some(out);
-                }
+            for &i in &pending {
+                let _span = obs.span(self.passes[i].name());
+                let prior = self.prior_for(i, &results);
+                let mut out = Vec::new();
+                self.passes[i].run(&cx, config, &prior, &mut out);
+                results[i] = Some(out);
             }
             if let (Some(cache), Some(key)) = (cache, scan_key) {
                 for &i in &pending {
@@ -320,20 +295,7 @@ impl PassManager {
         config: &CheckerConfig,
         obs: &slm_obs::Obs,
     ) -> CheckReport {
-        self.execute(nl, config, None, 1, obs)
-    }
-
-    /// Scans `nl` with the independent passes of each dependency level
-    /// fanned over up to `workers` threads (0 = machine parallelism).
-    ///
-    /// The report is bit-identical to [`PassManager::run`].
-    pub fn run_parallel(
-        &self,
-        nl: &Netlist,
-        config: &CheckerConfig,
-        workers: usize,
-    ) -> CheckReport {
-        self.execute(nl, config, None, workers, &slm_obs::Obs::null())
+        self.execute(nl, config, None, obs)
     }
 
     /// Scans `nl` replaying per-pass findings from `cache` where the
@@ -348,7 +310,7 @@ impl PassManager {
         config: &CheckerConfig,
         cache: &ScanCache,
     ) -> CheckReport {
-        self.execute(nl, config, Some(cache), 1, &slm_obs::Obs::null())
+        self.execute(nl, config, Some(cache), &slm_obs::Obs::null())
     }
 
     /// Scans a batch of netlists on up to `workers` threads, sharing
@@ -362,49 +324,8 @@ impl PassManager {
         workers: usize,
     ) -> Vec<CheckReport> {
         slm_par::par_map(workers, netlists, |nl| {
-            self.execute(nl, config, cache, 1, &slm_obs::Obs::null())
+            self.execute(nl, config, cache, &slm_obs::Obs::null())
         })
-    }
-
-    /// Scans many netlists on up to `workers` threads (0 = machine
-    /// parallelism), returning one report per netlist in input order.
-    ///
-    /// Each design gets its own [`Analysis`] and report; passes are
-    /// stateless, so the reports are identical to running
-    /// [`PassManager::run`] in a loop — order-preserving and
-    /// worker-count invariant.
-    pub fn run_many(
-        &self,
-        netlists: &[&Netlist],
-        config: &CheckerConfig,
-        workers: usize,
-    ) -> Vec<CheckReport> {
-        slm_par::par_map(workers, netlists, |nl| self.run(nl, config))
-    }
-
-    /// [`PassManager::run_many`] with an observability handle. Every
-    /// worker records into a fork of `obs`; the per-design frames are
-    /// absorbed back in input order, so counters and span counts are
-    /// worker-count invariant (only wall-clock durations vary).
-    pub fn run_many_recorded(
-        &self,
-        netlists: &[&Netlist],
-        config: &CheckerConfig,
-        workers: usize,
-        obs: &slm_obs::Obs,
-    ) -> Vec<CheckReport> {
-        let scanned = slm_par::par_map(workers, netlists, |nl| {
-            let worker_obs = obs.fork();
-            let report = self.run_recorded(nl, config, &worker_obs);
-            (report, worker_obs.snapshot())
-        });
-        scanned
-            .into_iter()
-            .map(|(report, frame)| {
-                obs.absorb(&frame);
-                report
-            })
-            .collect()
     }
 }
 

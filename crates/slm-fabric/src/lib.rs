@@ -58,22 +58,19 @@ pub use error::{FabricError, TransportError};
 // transport adversary. The unqualified fault-injection vocabulary
 // (`AggressorSpec`, `FaultTelemetry`) now unambiguously means PDN
 // timing faults.
-pub use remote::{
-    CampaignDriver, CampaignStats, QuarantinedTrace, RemoteSession, RetryPolicy, ShardOutcome,
-    ShardedCampaign,
-};
-pub use wire_faults::{WireFaultInjector, WireFaultPlan, WireFaultStats};
-// Shard planning vocabulary, re-exported so campaign callers need not
-// depend on slm-par directly.
+pub use remote::{CampaignDriver, CampaignStats, QuarantinedTrace, RemoteSession, RetryPolicy};
 pub use scenario::{
     ActivityTrace, AesActivity, CaptureRecord, FabricConfig, FabricPrototype, FenceConfig,
     MultiTenantFabric, RoSchedule,
 };
+pub use wire_faults::{WireFaultInjector, WireFaultPlan, WireFaultStats};
 // Countermeasure vocabulary, re-exported so defended campaigns can be
 // configured without depending on slm-defense directly.
 pub use slm_defense::{
     AdaptivePolicy, AlternationDetector, ClockJitterConfig, DefenseConfig, DefenseRuntime,
     DefenseTelemetry, DetectorConfig, FenceMode, FenceSpec, LdoConfig,
 };
+// Shard planning vocabulary, re-exported so campaign callers need not
+// depend on slm-par directly.
 pub use slm_par::{ShardPlan, ShardSpec};
 pub use uart::{crc16, DecodeOutcome, LinkStats, UartFrame, UartLink};

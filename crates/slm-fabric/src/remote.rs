@@ -20,8 +20,7 @@ use crate::error::{FabricError, TransportError};
 use crate::scenario::{CaptureRecord, FabricConfig, MultiTenantFabric};
 use crate::uart::{LinkStats, UartFrame, UartLink};
 use crate::wire_faults::{WireFaultPlan, WireFaultStats};
-use slm_obs::{MetricsFrame, Obs};
-use slm_par::{ShardPlan, ShardSpec};
+use slm_obs::Obs;
 use slm_sensors::SensorSample;
 use std::ops::Range;
 
@@ -139,70 +138,7 @@ impl RemoteSession {
         let mut stale: Option<u8> = None;
         while let Some(frame) = self.link.host_recv() {
             if frame.seq == seq {
-                return Self::decode_response(&frame, self.endpoints.len());
-            }
-            stale = Some(frame.seq);
-        }
-        Err(match stale {
-            Some(got) => TransportError::SeqMismatch { expected: seq, got }.into(),
-            None => TransportError::NoResponse.into(),
-        })
-    }
-
-    /// Largest batch [`RemoteSession::host_encrypt_batch`] accepts:
-    /// bounded by the batch-count byte (255) and by the batched
-    /// response frame fitting in [`UartFrame::MAX_PAYLOAD`].
-    pub fn max_batch(&self) -> usize {
-        let words_per_sample = 1 + self.endpoints.len().div_ceil(64);
-        let per_record = 18 + self.window.len() * words_per_sample * 8;
-        let by_response = (UartFrame::MAX_PAYLOAD - 1) / per_record;
-        let by_request = (UartFrame::MAX_PAYLOAD - 1) / 16;
-        by_response.min(by_request).clamp(1, 255)
-    }
-
-    /// Batched round trip: send `n` plaintexts in one request frame
-    /// (`n u8 | pt × n` — unambiguous against the 16-byte single-trace
-    /// request, since `1 + 16n` is never 16) and receive all `n`
-    /// captures in one response frame. The device encrypts the batch in
-    /// request order, so the records are bit-identical to `n`
-    /// single-trace round trips — what changes is the wire cost: one
-    /// header/CRC per direction instead of `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the batch is empty or exceeds
-    /// [`RemoteSession::max_batch`] (a host-side programming error, not
-    /// a wire condition).
-    ///
-    /// # Errors
-    ///
-    /// The same typed [`TransportError`]s as
-    /// [`RemoteSession::host_encrypt`]; a fault anywhere in either
-    /// frame loses the whole batch, which the caller retries as a unit.
-    pub fn host_encrypt_batch(
-        &mut self,
-        plaintexts: &[[u8; 16]],
-    ) -> Result<Vec<CaptureRecord>, FabricError> {
-        assert!(
-            !plaintexts.is_empty() && plaintexts.len() <= self.max_batch(),
-            "batch size {} outside 1..={}",
-            plaintexts.len(),
-            self.max_batch()
-        );
-        let seq = self.next_seq;
-        self.next_seq = self.next_seq.wrapping_add(1);
-        let mut payload = Vec::with_capacity(1 + 16 * plaintexts.len());
-        payload.push(plaintexts.len() as u8);
-        for pt in plaintexts {
-            payload.extend_from_slice(pt);
-        }
-        self.link.host_send(&UartFrame::new(seq, payload));
-        self.device_service();
-
-        let mut stale: Option<u8> = None;
-        while let Some(frame) = self.link.host_recv() {
-            if frame.seq == seq {
-                return Self::decode_batch_response(&frame, plaintexts.len(), self.endpoints.len());
+                return self.decode_response(&frame);
             }
             stale = Some(frame.seq);
         }
@@ -213,46 +149,19 @@ impl RemoteSession {
     }
 
     /// The device firmware loop body: read every complete request
-    /// frame, run the encryption(s) with capture, stage each result
-    /// through BRAM, send the response frame echoing the request's
-    /// sequence number. A 16-byte payload is a single-trace request; a
-    /// `1 + 16n` byte payload is a batch of `n`. Requests that arrive
-    /// corrupt never parse as frames, and frames with a bad geometry
+    /// frame, run the encryption with capture, stage the result through
+    /// BRAM, send the response frame echoing the request's sequence
+    /// number. A request is one 16-byte plaintext. Requests that arrive
+    /// corrupt never parse as frames, and frames of any other length
     /// are dropped — the device stays up and the host's retry covers
     /// the loss.
     fn device_service(&mut self) {
         while let Some(frame) = self.link.fpga_recv() {
-            let p = &frame.payload;
-            if p.len() == 16 {
-                let mut pt = [0u8; 16];
-                pt.copy_from_slice(p);
-                if let Some(body) = self.encode_record(pt) {
-                    self.link.fpga_send(&UartFrame::new(frame.seq, body));
-                }
-            } else if p.len() >= 17 && p.len() == 1 + 16 * usize::from(p[0]) {
-                let n = usize::from(p[0]);
-                // Batched response: n u8 | per-record bodies, encrypted
-                // in request order so the captures are bit-identical to
-                // n single requests.
-                let mut body = Vec::with_capacity(1 + n * 18);
-                body.push(n as u8);
-                let mut ok = true;
-                for i in 0..n {
-                    let mut pt = [0u8; 16];
-                    pt.copy_from_slice(&frame.payload[1 + 16 * i..17 + 16 * i]);
-                    match self.encode_record(pt) {
-                        Some(rec) => body.extend_from_slice(&rec),
-                        None => {
-                            // BRAM overflow mid-batch: drop the whole
-                            // request; the host retries the batch.
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok {
-                    self.link.fpga_send(&UartFrame::new(frame.seq, body));
-                }
+            let Ok(pt) = <[u8; 16]>::try_from(frame.payload.as_slice()) else {
+                continue;
+            };
+            if let Some(body) = self.encode_record(pt) {
+                self.link.fpga_send(&UartFrame::new(frame.seq, body));
             }
         }
     }
@@ -291,112 +200,58 @@ impl RemoteSession {
         Some(body)
     }
 
-    fn decode_response(
-        frame: &UartFrame,
-        endpoint_count: usize,
-    ) -> Result<CaptureRecord, FabricError> {
-        let p = &frame.payload;
-        let (rec, consumed) = Self::decode_record_at(p, 0, endpoint_count)?;
-        if consumed != p.len() {
-            return Err(TransportError::MalformedResponse {
-                detail: format!("response length {} != expected {consumed}", p.len()),
-            }
-            .into());
-        }
-        Ok(rec)
-    }
-
-    fn decode_batch_response(
-        frame: &UartFrame,
-        expected_n: usize,
-        endpoint_count: usize,
-    ) -> Result<Vec<CaptureRecord>, FabricError> {
+    /// Decodes a `ct | n_samples | words_per_sample | words` response
+    /// body. The geometry must be the one this session's device sends
+    /// (one sample per window edge, one TDC word plus the packed
+    /// endpoint words per sample) and fill the payload exactly; a
+    /// CRC-clean frame that disagrees is a typed
+    /// [`TransportError::MalformedResponse`], never a record whose
+    /// samples are shorter than their declared length.
+    fn decode_response(&self, frame: &UartFrame) -> Result<CaptureRecord, FabricError> {
         let malformed =
             |detail: String| -> FabricError { TransportError::MalformedResponse { detail }.into() };
         let p = &frame.payload;
-        if p.is_empty() {
-            return Err(malformed("empty batch response".into()));
-        }
-        let n = usize::from(p[0]);
-        if n != expected_n {
-            return Err(malformed(format!(
-                "batch response carries {n} records, expected {expected_n}"
-            )));
-        }
-        let mut records = Vec::with_capacity(n);
-        let mut off = 1;
-        for _ in 0..n {
-            let (rec, next) = Self::decode_record_at(p, off, endpoint_count)?;
-            records.push(rec);
-            off = next;
-        }
-        if off != p.len() {
-            return Err(malformed(format!(
-                "batch response has {} trailing bytes",
-                p.len() - off
-            )));
-        }
-        Ok(records)
-    }
-
-    /// Decodes one `ct | n_samples | words_per_sample | words` record
-    /// body starting at `off`; returns the record and the offset just
-    /// past it.
-    fn decode_record_at(
-        p: &[u8],
-        off: usize,
-        endpoint_count: usize,
-    ) -> Result<(CaptureRecord, usize), FabricError> {
-        let malformed =
-            |detail: String| -> FabricError { TransportError::MalformedResponse { detail }.into() };
-        if p.len() < off + 18 {
+        if p.len() < 18 {
             return Err(malformed(format!(
                 "short response frame ({} bytes)",
                 p.len()
             )));
         }
         let mut ciphertext = [0u8; 16];
-        ciphertext.copy_from_slice(&p[off..off + 16]);
-        let n_samples = usize::from(p[off + 16]);
-        let words_per_sample = usize::from(p[off + 17]);
-        if words_per_sample == 0 {
-            return Err(malformed("zero words per sample".into()));
-        }
-        let need = n_samples * words_per_sample * 8;
-        if p.len() < off + 18 + need {
+        ciphertext.copy_from_slice(&p[..16]);
+        let n_samples = usize::from(p[16]);
+        let words_per_sample = usize::from(p[17]);
+        let expected_words = 1 + self.endpoints.len().div_ceil(64);
+        if words_per_sample != expected_words || n_samples != self.window.len() {
             return Err(malformed(format!(
-                "response length {} != expected {}",
-                p.len(),
-                off + 18 + need
+                "geometry {n_samples} samples x {words_per_sample} words, expected {} x {expected_words}",
+                self.window.len()
             )));
         }
+        let expected_len = 18 + n_samples * words_per_sample * 8;
+        if p.len() != expected_len {
+            return Err(malformed(format!(
+                "response length {} != expected {expected_len}",
+                p.len()
+            )));
+        }
+        let mut words = p[18..]
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")));
         let mut benign = Vec::with_capacity(n_samples);
         let mut tdc = Vec::with_capacity(n_samples);
-        let mut pos = off + 18;
         for _ in 0..n_samples {
-            let w = u64::from_le_bytes(p[pos..pos + 8].try_into().expect("8 bytes"));
-            tdc.push(w as u32);
-            pos += 8;
-            let mut bits = Vec::with_capacity(words_per_sample - 1);
-            for _ in 0..words_per_sample - 1 {
-                bits.push(u64::from_le_bytes(
-                    p[pos..pos + 8].try_into().expect("8 bytes"),
-                ));
-                pos += 8;
-            }
+            tdc.push(words.next().expect("length checked") as u32);
             benign.push(SensorSample {
-                bits,
-                len: endpoint_count,
+                bits: words.by_ref().take(words_per_sample - 1).collect(),
+                len: self.endpoints.len(),
             });
         }
-        Ok((
-            CaptureRecord {
-                ciphertext,
-                benign,
-                tdc,
-            },
-            pos,
-        ))
+        Ok(CaptureRecord {
+            ciphertext,
+            benign,
+            tdc,
+        })
     }
 }
 
@@ -449,30 +304,6 @@ pub struct CampaignStats {
     pub quarantined: u64,
     /// Total backoff charged to the wire clock, seconds.
     pub backoff_s: f64,
-}
-
-impl CampaignStats {
-    /// Folds another campaign's accounting into this one. Every field
-    /// is additive, so the stats of a sharded campaign are the merge of
-    /// its per-shard stats — in any order. Counters saturate instead of
-    /// wrapping: a pathological retry storm must never wrap a u64 into
-    /// a plausible-looking small number.
-    pub fn absorb(&mut self, other: &CampaignStats) {
-        self.requested = self.requested.saturating_add(other.requested);
-        self.delivered = self.delivered.saturating_add(other.delivered);
-        self.retries = self.retries.saturating_add(other.retries);
-        self.quarantined = self.quarantined.saturating_add(other.quarantined);
-        self.backoff_s += other.backoff_s;
-    }
-
-    /// The merged accounting of a set of campaigns (shards).
-    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a CampaignStats>) -> CampaignStats {
-        let mut total = CampaignStats::default();
-        for part in parts {
-            total.absorb(part);
-        }
-        total
-    }
 }
 
 /// Drives capture requests through a [`RemoteSession`] resiliently.
@@ -536,8 +367,8 @@ impl CampaignDriver {
         let result = self.capture_inner(plaintext);
         if let Some(base) = wire_base {
             // Link/fault/PDN accounting lives in cumulative session
-            // counters; exporting the per-capture delta keeps the
-            // metrics additive under shard merge.
+            // counters; exporting the per-capture delta keeps every
+            // counter additive over captures.
             let now = self.wire_counters();
             self.obs
                 .add("uart.resyncs", now.resyncs.saturating_sub(base.resyncs));
@@ -550,107 +381,6 @@ impl CampaignDriver {
             self.session.fabric().record_pdn_telemetry(&self.obs);
         }
         result
-    }
-
-    /// Captures a batch of validated traces in one amortized round
-    /// trip, with the same retry/validate/quarantine semantics as
-    /// [`CampaignDriver::capture`]: a transport fault retries the whole
-    /// batch (one wire unit), a record that arrives intact but fails
-    /// validation is quarantined and recaptured individually through
-    /// the single-trace retry loop. On success the returned records are
-    /// in plaintext order, one per request.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::RetriesExhausted`] when the batch (or an
-    /// individual recapture) runs out of attempts; non-transport errors
-    /// propagate immediately.
-    pub fn capture_batch(
-        &mut self,
-        plaintexts: &[[u8; 16]],
-    ) -> Result<Vec<CaptureRecord>, FabricError> {
-        if plaintexts.is_empty() {
-            return Ok(Vec::new());
-        }
-        let _span = self.obs.span("campaign.capture_batch");
-        let wire_base = self.obs.enabled().then(|| self.wire_counters());
-        let result = self.capture_batch_inner(plaintexts);
-        if let Some(base) = wire_base {
-            let now = self.wire_counters();
-            self.obs
-                .add("uart.resyncs", now.resyncs.saturating_sub(base.resyncs));
-            self.obs.add(
-                "uart.bytes_discarded",
-                now.bytes_discarded.saturating_sub(base.bytes_discarded),
-            );
-            self.obs
-                .add("faults.injected", now.faults.saturating_sub(base.faults));
-            self.session.fabric().record_pdn_telemetry(&self.obs);
-        }
-        result
-    }
-
-    fn capture_batch_inner(
-        &mut self,
-        plaintexts: &[[u8; 16]],
-    ) -> Result<Vec<CaptureRecord>, FabricError> {
-        let base_index = self.stats.requested;
-        self.stats.requested += plaintexts.len() as u64;
-        self.obs.add("campaign.requested", plaintexts.len() as u64);
-        let mut backoff = self.policy.base_backoff_s;
-        let mut last: TransportError = TransportError::NoResponse;
-        for attempt in 1..=self.policy.max_attempts {
-            if attempt > 1 {
-                self.session.flush_wire();
-                self.session.charge_idle(backoff);
-                self.stats.backoff_s += backoff;
-                self.obs.incr("campaign.retries");
-                self.obs.observe("campaign.backoff_s", backoff);
-                backoff = (backoff * self.policy.backoff_factor).min(self.policy.max_backoff_s);
-                self.stats.retries += 1;
-            }
-            let attempt_result = {
-                let _attempt_span = self.obs.span("fabric.host_encrypt");
-                self.obs.incr("fabric.requests");
-                self.session.host_encrypt_batch(plaintexts)
-            };
-            match attempt_result {
-                Ok(recs) => {
-                    let mut out = Vec::with_capacity(recs.len());
-                    for (i, rec) in recs.into_iter().enumerate() {
-                        match self.validate(&rec, &plaintexts[i]) {
-                            Ok(()) => {
-                                self.stats.delivered += 1;
-                                self.obs.incr("campaign.delivered");
-                                out.push(rec);
-                            }
-                            Err(error) => {
-                                self.quarantine.push(QuarantinedTrace {
-                                    trace_index: base_index + i as u64,
-                                    attempt,
-                                    error: error.clone(),
-                                });
-                                self.stats.quarantined += 1;
-                                self.obs.incr("campaign.quarantined");
-                                // Only the bad record is recaptured —
-                                // its batch-mates are already valid.
-                                out.push(
-                                    self.capture_retry_loop(plaintexts[i], base_index + i as u64)?,
-                                );
-                            }
-                        }
-                    }
-                    return Ok(out);
-                }
-                Err(FabricError::Transport(t)) if t.retryable() => last = t,
-                Err(fatal) => return Err(fatal),
-            }
-        }
-        Err(TransportError::RetriesExhausted {
-            attempts: self.policy.max_attempts,
-            last: Box::new(last),
-        }
-        .into())
     }
 
     /// The retry/validate/quarantine loop behind [`CampaignDriver::capture`].
@@ -658,17 +388,6 @@ impl CampaignDriver {
         let trace_index = self.stats.requested;
         self.stats.requested += 1;
         self.obs.incr("campaign.requested");
-        self.capture_retry_loop(plaintext, trace_index)
-    }
-
-    /// The per-trace retry loop shared by the single and batch-fallback
-    /// paths; `trace_index` is the campaign-global index recorded on
-    /// quarantined records. The caller has already counted the request.
-    fn capture_retry_loop(
-        &mut self,
-        plaintext: [u8; 16],
-        trace_index: u64,
-    ) -> Result<CaptureRecord, FabricError> {
         let mut backoff = self.policy.base_backoff_s;
         let mut last: TransportError = TransportError::NoResponse;
         for attempt in 1..=self.policy.max_attempts {
@@ -758,12 +477,6 @@ impl CampaignDriver {
         &self.session
     }
 
-    /// Largest batch [`CampaignDriver::capture_batch`] accepts (see
-    /// [`RemoteSession::max_batch`]).
-    pub fn max_batch(&self) -> usize {
-        self.session.max_batch()
-    }
-
     /// Campaign accounting so far.
     pub fn stats(&self) -> &CampaignStats {
         &self.stats
@@ -787,172 +500,6 @@ struct WireCounters {
     resyncs: u64,
     bytes_discarded: u64,
     faults: u64,
-}
-
-/// Everything produced by one shard of a [`ShardedCampaign`].
-#[derive(Debug, Clone)]
-pub struct ShardOutcome<R> {
-    /// The shard this outcome belongs to.
-    pub spec: ShardSpec,
-    /// Whatever the per-shard body returned (typically an accumulator
-    /// partial to merge).
-    pub result: R,
-    /// This shard's campaign accounting.
-    pub stats: CampaignStats,
-    /// Records this shard's driver quarantined.
-    pub quarantined: Vec<QuarantinedTrace>,
-    /// UART wire time this shard consumed, seconds. Shards run on
-    /// independent (simulated) wires, so the campaign's wall-clock wire
-    /// cost is the *maximum* over shards on enough workers, while the
-    /// total rig cost is the sum.
-    pub wire_time_s: f64,
-    /// Everything this shard's private recorder accumulated (empty when
-    /// the campaign runs with the null recorder). The campaign folds
-    /// these in shard order, so merged metrics are worker-count
-    /// invariant.
-    pub metrics: MetricsFrame,
-}
-
-/// A capture campaign split into deterministic shards and executed on a
-/// worker pool.
-///
-/// Each shard gets its own fabric (re-seeded with
-/// [`FabricConfig::for_shard`]), its own UART session (with the fault
-/// plan forked per shard when one is mounted) and its own
-/// [`CampaignDriver`], so retry, validation, quarantine and checkpoint
-/// semantics are exactly the serial driver's — per shard. The shard
-/// layout and every seed derive only from the plan, never from the
-/// worker count: running on one worker or sixteen produces the same
-/// outcomes in the same shard order, which is what lets the analysis
-/// layer merge partials bit-identically.
-#[derive(Debug, Clone)]
-pub struct ShardedCampaign {
-    /// Base fabric setup; shard `i` runs `config.for_shard(i)`.
-    pub config: FabricConfig,
-    /// Benign endpoints packed into each trace frame (empty = TDC only).
-    pub endpoints: Vec<usize>,
-    /// Optional wire-fault profile, forked per shard.
-    pub fault_plan: Option<WireFaultPlan>,
-    /// Retry budget applied by every shard's driver.
-    pub policy: RetryPolicy,
-    /// The shard layout.
-    pub plan: ShardPlan,
-    /// Worker threads (0 = machine parallelism).
-    pub workers: usize,
-    /// Metrics recorder. Each shard records into a private
-    /// [`Obs::fork`] of it; the frames are folded back in shard order
-    /// after the run.
-    pub obs: Obs,
-}
-
-impl ShardedCampaign {
-    /// A campaign over `plan` with a clean wire, the default retry
-    /// policy and machine parallelism.
-    pub fn new(config: FabricConfig, endpoints: Vec<usize>, plan: ShardPlan) -> Self {
-        ShardedCampaign {
-            config,
-            endpoints,
-            fault_plan: None,
-            policy: RetryPolicy::default(),
-            plan,
-            workers: 0,
-            obs: Obs::null(),
-        }
-    }
-
-    /// Mounts a wire-fault profile; shard `i` runs `plan.fork(i)`.
-    pub fn with_fault_plan(mut self, plan: WireFaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Mounts a metrics recorder; the default is the null recorder.
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
-    }
-
-    /// Overrides the per-shard retry policy.
-    pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the worker count (0 = machine parallelism).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Runs `body` once per shard on the worker pool and returns the
-    /// outcomes in shard order.
-    ///
-    /// The body receives the shard spec and a driver wired to that
-    /// shard's private fabric; it typically captures `spec.traces`
-    /// traces and returns an accumulator partial.
-    ///
-    /// # Errors
-    ///
-    /// The first error in shard order, if any shard's session fails to
-    /// build or its body returns one. Other shards may have completed;
-    /// their results are discarded.
-    pub fn run<R, F>(&self, body: F) -> Result<Vec<ShardOutcome<R>>, FabricError>
-    where
-        R: Send,
-        F: Fn(&ShardSpec, &mut CampaignDriver) -> Result<R, FabricError> + Sync,
-    {
-        let shards = self.plan.shards();
-        let outcomes: Vec<Result<ShardOutcome<R>, FabricError>> =
-            slm_par::par_map(self.workers, &shards, |spec| {
-                let config = self.config.for_shard(spec.index);
-                let session = match &self.fault_plan {
-                    Some(plan) => RemoteSession::with_fault_plan(
-                        &config,
-                        self.endpoints.clone(),
-                        plan.fork(spec.index),
-                    )?,
-                    None => RemoteSession::new(&config, self.endpoints.clone())?,
-                };
-                // Every shard records into a private recorder, so the
-                // hot path never contends across workers and the frame
-                // it produces is a pure function of the shard.
-                let shard_obs = self.obs.fork();
-                let mut driver =
-                    CampaignDriver::with_policy(session, self.policy).with_obs(shard_obs.clone());
-                let result = body(spec, &mut driver)?;
-                Ok(ShardOutcome {
-                    spec: *spec,
-                    result,
-                    wire_time_s: driver.session().wire_time_s(),
-                    stats: *driver.stats(),
-                    quarantined: std::mem::take(&mut driver.quarantine),
-                    metrics: shard_obs.snapshot(),
-                })
-            });
-        let outcomes: Vec<ShardOutcome<R>> = outcomes.into_iter().collect::<Result<_, _>>()?;
-        if self.obs.enabled() {
-            // Fold shard telemetry in shard index order (the
-            // determinism contract), then derive the shard-imbalance
-            // view: how unevenly simulated wire time spread over the
-            // plan.
-            for o in &outcomes {
-                self.obs.absorb(&o.metrics);
-                self.obs.observe("campaign.shard_wire_s", o.wire_time_s);
-            }
-            let sum: f64 = outcomes.iter().map(|o| o.wire_time_s).sum();
-            let max = outcomes.iter().map(|o| o.wire_time_s).fold(0.0, f64::max);
-            if sum > 0.0 {
-                let mean = sum / outcomes.len() as f64;
-                self.obs.gauge("campaign.shard_imbalance", max / mean);
-            }
-        }
-        Ok(outcomes)
-    }
-
-    /// The merged accounting of a run's outcomes.
-    pub fn merged_stats<R>(outcomes: &[ShardOutcome<R>]) -> CampaignStats {
-        CampaignStats::merged(outcomes.iter().map(|o| &o.stats))
-    }
 }
 
 #[cfg(test)]
@@ -991,95 +538,40 @@ mod tests {
     }
 
     #[test]
-    fn batched_remote_capture_matches_singles_bitwise() {
-        let endpoints: Vec<usize> = (0..12).collect();
-        let mut singles = session(endpoints.clone());
-        let mut batched = session(endpoints);
-        let pts: Vec<[u8; 16]> = (0..6u8).map(|i| [i.wrapping_mul(47); 16]).collect();
-        let one_by_one: Vec<CaptureRecord> = pts
-            .iter()
-            .map(|&pt| singles.host_encrypt(pt).unwrap())
-            .collect();
-        let in_one_trip = batched.host_encrypt_batch(&pts).unwrap();
-        assert_eq!(in_one_trip.len(), one_by_one.len());
-        for (a, b) in in_one_trip.iter().zip(&one_by_one) {
-            assert_eq!(a.ciphertext, b.ciphertext);
-            assert_eq!(a.tdc, b.tdc);
-            assert_eq!(a.benign.len(), b.benign.len());
-            for (x, y) in a.benign.iter().zip(&b.benign) {
-                assert_eq!(x.bits, y.bits);
-                assert_eq!(x.len, y.len);
-            }
-        }
-    }
-
-    #[test]
-    fn batched_capture_amortizes_wire_time() {
-        let pts: Vec<[u8; 16]> = (0..8u8).map(|i| [i; 16]).collect();
-        let mut singles = session((0..8).collect());
-        for &pt in &pts {
-            let _ = singles.host_encrypt(pt).unwrap();
-        }
-        let mut batched = session((0..8).collect());
-        let _ = batched.host_encrypt_batch(&pts).unwrap();
-        assert!(
-            batched.wire_time_s() < singles.wire_time_s(),
-            "batch {} s must beat {} s of singles",
-            batched.wire_time_s(),
-            singles.wire_time_s()
-        );
-        assert!(batched.max_batch() >= 8);
-    }
-
-    #[test]
-    fn driver_capture_batch_matches_serial_driver() {
-        let pts: Vec<[u8; 16]> = (0..10u8).map(|i| [i.wrapping_mul(13); 16]).collect();
-        let mut serial = CampaignDriver::new(session(vec![]));
-        let singles: Vec<CaptureRecord> =
-            pts.iter().map(|&pt| serial.capture(pt).unwrap()).collect();
-        let mut driver = CampaignDriver::new(session(vec![]));
-        let batch = driver.capture_batch(&pts).unwrap();
-        for (a, b) in batch.iter().zip(&singles) {
-            assert_eq!(a.ciphertext, b.ciphertext);
-            assert_eq!(a.tdc, b.tdc);
-        }
-        let stats = driver.stats();
-        assert_eq!(stats.requested, 10);
-        assert_eq!(stats.delivered, 10);
-        assert_eq!(stats.retries, 0);
-        assert_eq!(stats.quarantined, 0);
-        assert!(driver.capture_batch(&[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn capture_batch_retries_through_a_lossy_wire() {
-        let plan = WireFaultPlan::new(99).with_stall(0.4);
-        let remote = RemoteSession::with_fault_plan(&config(), vec![], plan).unwrap();
+    fn forged_response_geometry_is_malformed_and_retried() {
+        // A CRC-clean response whose geometry disagrees with the session
+        // (one sample of one word, for a 16-endpoint session) must be a
+        // typed error, never a record whose samples claim 16 endpoints
+        // but carry no endpoint words.
+        let endpoints: Vec<usize> = (0..16).collect();
+        let mut remote = session(endpoints.clone());
         let key = remote.fabric().config().aes_key;
-        let mut driver = CampaignDriver::new(remote);
-        let mut delivered = 0usize;
-        for chunk in 0..4u8 {
-            let pts: Vec<[u8; 16]> = (0..5u8).map(|i| [chunk * 5 + i; 16]).collect();
-            match driver.capture_batch(&pts) {
-                Ok(recs) => {
-                    for (rec, pt) in recs.iter().zip(&pts) {
-                        assert_eq!(rec.ciphertext, soft::encrypt(&key, pt));
-                    }
-                    delivered += recs.len();
-                }
-                Err(e) => assert!(
-                    matches!(
-                        e,
-                        FabricError::Transport(TransportError::RetriesExhausted { .. })
-                    ),
-                    "unexpected error {e}"
-                ),
-            }
-        }
-        assert!(delivered >= 10, "only {delivered}/20 delivered");
-        let stats = driver.stats();
-        assert!(stats.retries > 0, "a 40% stall rate must force retries");
-        assert_eq!(stats.delivered as usize, delivered);
+        let pt = [0x5a; 16];
+        let forged = |seq: u8| {
+            let mut body = soft::encrypt(&key, &pt).to_vec();
+            body.extend_from_slice(&[1, 1]);
+            body.extend_from_slice(&7u64.to_le_bytes());
+            UartFrame::new(seq, body).encode()
+        };
+        remote.link.inject_to_host(&forged(0));
+        let err = remote.host_encrypt(pt).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FabricError::Transport(TransportError::MalformedResponse { .. })
+            ),
+            "unexpected {err}"
+        );
+        assert!(err.retryable());
+
+        let mut driver = CampaignDriver::new(session(endpoints));
+        driver.session.link.inject_to_host(&forged(0));
+        let rec = driver.capture(pt).unwrap();
+        assert_eq!(rec.ciphertext, soft::encrypt(&key, &pt));
+        assert_eq!(rec.tdc.len(), driver.session().window.len());
+        assert!(rec.benign.iter().all(|s| s.bits.len() == 1 && s.len == 16));
+        assert_eq!(driver.stats().retries, 1, "the forged frame is retried");
+        assert_eq!(driver.stats().delivered, 1);
     }
 
     #[test]
@@ -1167,50 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_campaign_is_worker_count_invariant() {
-        // The same plan must produce byte-identical outcomes whether
-        // the shards run on one worker or several.
-        let run = |workers: usize| {
-            let campaign = ShardedCampaign::new(config(), (0..8).collect(), ShardPlan::new(10, 3))
-                .with_workers(workers);
-            campaign
-                .run(|spec, driver| {
-                    let mut pts = Vec::new();
-                    let mut recs = Vec::new();
-                    for _ in 0..spec.traces {
-                        // Shard-deterministic plaintexts from the
-                        // shard's own fabric stream would need fabric
-                        // access; derive them from the shard spec
-                        // instead so the body is a pure function of it.
-                        let mut pt = [0u8; 16];
-                        for (j, b) in pt.iter_mut().enumerate() {
-                            *b = (spec.start as u8).wrapping_add(j as u8);
-                        }
-                        pts.push(pt);
-                        recs.push(driver.capture(pt)?);
-                    }
-                    Ok(recs)
-                })
-                .unwrap()
-        };
-        let serial = run(1);
-        let parallel = run(4);
-        assert_eq!(serial.len(), 4, "10 traces in shards of 3");
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.spec, b.spec);
-            assert_eq!(a.stats, b.stats);
-            assert_eq!(a.result.len(), b.result.len());
-            for (ra, rb) in a.result.iter().zip(&b.result) {
-                assert_eq!(ra.ciphertext, rb.ciphertext);
-                assert_eq!(ra.tdc, rb.tdc);
-            }
-        }
-        let stats = ShardedCampaign::merged_stats(&serial);
-        assert_eq!(stats.requested, 10);
-        assert_eq!(stats.delivered, 10);
-    }
-
-    #[test]
     fn shards_are_independent_streams() {
         // Distinct shards of the same config must not replay each
         // other's noise: the same plaintext captured on shard 0 and
@@ -1233,86 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_campaign_forks_fault_plans() {
-        let plan = WireFaultPlan::new(5).with_stall(0.2);
-        assert_ne!(plan.fork(0).seed, plan.fork(1).seed);
-        assert_eq!(plan.fork(3), plan.fork(3));
-        assert_eq!(plan.fork(1).stall, plan.stall, "rates are unchanged");
-        // A lossy sharded campaign still delivers everything (within
-        // the retry budget) and the per-shard stats stay reproducible.
-        let run = |workers: usize| {
-            ShardedCampaign::new(config(), vec![], ShardPlan::new(8, 2))
-                .with_fault_plan(plan.clone())
-                .with_workers(workers)
-                .run(|spec, driver| {
-                    (0..spec.traces)
-                        .map(|i| driver.capture([spec.start as u8 + i as u8; 16]))
-                        .collect::<Result<Vec<_>, _>>()
-                })
-                .unwrap()
-        };
-        let a = run(1);
-        let b = run(3);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.stats, y.stats);
-            assert_eq!(x.quarantined, y.quarantined);
-        }
-        let merged = ShardedCampaign::merged_stats(&a);
-        assert_eq!(merged.delivered, 8);
-    }
-
-    #[test]
-    fn campaign_stats_merge_is_additive() {
-        let a = CampaignStats {
-            requested: 10,
-            delivered: 9,
-            retries: 3,
-            quarantined: 1,
-            backoff_s: 0.25,
-        };
-        let b = CampaignStats {
-            requested: 5,
-            delivered: 5,
-            retries: 0,
-            quarantined: 0,
-            backoff_s: 0.0,
-        };
-        let mut ab = a;
-        ab.absorb(&b);
-        assert_eq!(ab.requested, 15);
-        assert_eq!(ab.delivered, 14);
-        assert_eq!(ab.retries, 3);
-        assert_eq!(CampaignStats::merged([&a, &b]), ab);
-        let mut ba = b;
-        ba.absorb(&a);
-        assert_eq!(ba, ab, "merge order is irrelevant");
-    }
-
-    #[test]
-    fn campaign_stats_absorb_saturates_instead_of_wrapping() {
-        let mut total = CampaignStats {
-            requested: u64::MAX - 1,
-            delivered: u64::MAX,
-            retries: u64::MAX - 2,
-            quarantined: 3,
-            backoff_s: 0.5,
-        };
-        let more = CampaignStats {
-            requested: 10,
-            delivered: 10,
-            retries: 10,
-            quarantined: u64::MAX,
-            backoff_s: 0.25,
-        };
-        total.absorb(&more);
-        assert_eq!(total.requested, u64::MAX);
-        assert_eq!(total.delivered, u64::MAX);
-        assert_eq!(total.retries, u64::MAX);
-        assert_eq!(total.quarantined, u64::MAX);
-        assert_eq!(total.backoff_s, 0.75);
-    }
-
-    #[test]
     fn driver_records_campaign_metrics() {
         let obs = Obs::memory();
         let mut driver = CampaignDriver::new(session((0..4).collect())).with_obs(obs.clone());
@@ -1329,49 +697,6 @@ mod tests {
         let v_min = frame.gauges["pdn.v_min"];
         assert!(v_min.last < 1.0, "encryption load droops the rail");
         assert_eq!(v_min.count, 5);
-    }
-
-    #[test]
-    fn sharded_campaign_metrics_are_worker_count_invariant() {
-        // Retries, backoff, fault and PDN telemetry all flow through
-        // per-shard recorders merged in shard order: the deterministic
-        // view of the merged frame must not depend on the worker count.
-        let plan = WireFaultPlan::new(5).with_stall(0.2);
-        let run = |workers: usize| {
-            let obs = Obs::memory();
-            let outcomes = ShardedCampaign::new(config(), vec![], ShardPlan::new(8, 2))
-                .with_fault_plan(plan.clone())
-                .with_workers(workers)
-                .with_obs(obs.clone())
-                .run(|spec, driver| {
-                    (0..spec.traces)
-                        .map(|i| driver.capture([spec.start as u8 + i as u8; 16]))
-                        .collect::<Result<Vec<_>, _>>()
-                })
-                .unwrap();
-            (obs.snapshot(), outcomes)
-        };
-        let (serial_frame, serial) = run(1);
-        let (wide_frame, wide) = run(4);
-        assert_eq!(serial_frame.deterministic(), wide_frame.deterministic());
-        for (a, b) in serial.iter().zip(&wide) {
-            assert_eq!(a.metrics.deterministic(), b.metrics.deterministic());
-        }
-        assert_eq!(serial_frame.counter("campaign.delivered"), 8);
-        assert_eq!(
-            serial_frame.counter("campaign.retries"),
-            CampaignStats::merged(serial.iter().map(|o| &o.stats)).retries,
-            "metric counters agree with the stats ledger"
-        );
-        assert!(
-            serial_frame.gauges.contains_key("campaign.shard_imbalance"),
-            "imbalance gauge recorded"
-        );
-        // A null-recorder campaign produces empty frames.
-        let outcomes = ShardedCampaign::new(config(), vec![], ShardPlan::new(4, 2))
-            .run(|spec, driver| driver.capture([spec.start as u8; 16]))
-            .unwrap();
-        assert!(outcomes.iter().all(|o| o.metrics.is_empty()));
     }
 
     #[test]

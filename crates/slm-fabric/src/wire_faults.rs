@@ -72,18 +72,6 @@ impl WireFaultPlan {
         }
     }
 
-    /// The same fault profile on an independent stream for shard
-    /// `index` of a sharded campaign (see
-    /// [`crate::FabricConfig::for_shard`]). Rates are unchanged; only
-    /// the seed forks, so every shard's wire misbehaves with the same
-    /// statistics but its own reproducible fault sequence.
-    pub fn fork(&self, index: usize) -> WireFaultPlan {
-        WireFaultPlan {
-            seed: slm_par::mix_seed(self.seed, index as u64),
-            ..self.clone()
-        }
-    }
-
     /// Sets the bit-flip probability per byte.
     pub fn with_bit_flip(mut self, p: f64) -> Self {
         self.bit_flip = p;

@@ -14,11 +14,11 @@ const SINK_SHARDS: usize = 8;
 /// A metrics sink.
 ///
 /// All methods take `&self`: recorders use interior mutability so one
-/// handle can be shared across worker threads (the `run_many` scan
-/// path) or cloned into retry loops. The default implementation of
-/// every recording method is a no-op, which is what makes
-/// [`NullRecorder`] trivial and instrumentation zero-cost when
-/// disabled: the only price on the null path is one virtual call.
+/// handle can be shared across worker threads or cloned into retry
+/// loops. The default implementation of every recording method is a
+/// no-op, which is what makes [`NullRecorder`] trivial and
+/// instrumentation zero-cost when disabled: the only price on the null
+/// path is one virtual call.
 pub trait Recorder: std::fmt::Debug + Send + Sync {
     /// Whether this recorder keeps anything. Instrumented code may
     /// skip expensive metric *computation* (not just recording) when

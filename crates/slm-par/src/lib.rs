@@ -333,18 +333,6 @@ impl ShardPlan {
         }
     }
 
-    /// A plan that splits `total` units into at most `parts` shards of
-    /// near-equal size: the shard size rounds *up*
-    /// (`total.div_ceil(parts)`), so the split is exact — shards
-    /// partition `total`, no shard is empty, and the plan never grows
-    /// an extra degenerately small trailing shard the way a
-    /// floor-divided size does (e.g. 1000 into 16 parts: floor gives
-    /// 17 shards with an 8-trace tail; this gives 16 shards of 63/55).
-    /// With `total < parts` the plan degenerates to one-unit shards.
-    pub fn balanced(total: u64, parts: u64) -> Self {
-        ShardPlan::new(total, total.div_ceil(parts.max(1)))
-    }
-
     /// Number of shards in the plan.
     pub fn shard_count(&self) -> usize {
         usize::try_from(self.total.div_ceil(self.shard_size)).expect("shard count fits usize")
@@ -375,48 +363,6 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_extend(fnv1a(b"ab"), b"c"), fnv1a(b"abc"));
-    }
-
-    #[test]
-    fn balanced_split_is_exact_over_edge_counts() {
-        for total in [0u64, 1, 2, 15, 16, 17, 31, 100, 999, 1000, 1001] {
-            for parts in [1u64, 2, 3, 15, 16, 17, 64] {
-                let plan = ShardPlan::balanced(total, parts);
-                let shards = plan.shards();
-                assert_eq!(
-                    shards.iter().map(|s| s.traces).sum::<u64>(),
-                    total,
-                    "partition of {total} into {parts}"
-                );
-                assert!(
-                    shards.iter().all(|s| s.traces > 0),
-                    "no empty shard for {total}/{parts}"
-                );
-                assert!(
-                    shards.len() as u64 <= parts.max(1),
-                    "{total} into {parts} made {} shards",
-                    shards.len()
-                );
-                // Contiguous, ordered, gap-free coverage.
-                let mut next = 0u64;
-                for (i, s) in shards.iter().enumerate() {
-                    assert_eq!(s.index, i);
-                    assert_eq!(s.start, next);
-                    next += s.traces;
-                }
-                // Near-equal: only the last shard may be smaller, and
-                // every other shard has the same size.
-                if let Some((last, rest)) = shards.split_last() {
-                    assert!(rest.iter().all(|s| s.traces == plan.shard_size));
-                    assert!(last.traces <= plan.shard_size);
-                }
-            }
-        }
-        assert_eq!(
-            ShardPlan::balanced(10, 0).shards().len(),
-            1,
-            "parts=0 clamps"
-        );
     }
 
     #[test]
